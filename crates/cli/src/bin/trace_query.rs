@@ -916,6 +916,37 @@ mod tests {
     }
 
     #[test]
+    fn smoke_trace_outputs_match_baselines() {
+        // What this binary printed for the committed smoke trace before
+        // the span layer's interval index existed, byte for byte.
+        let events = parse_jsonl(include_str!("../../../../baselines/smoke_trace.jsonl")).unwrap();
+        assert_eq!(
+            collapse_flame(&span_trees(&events)),
+            include_str!("../../../../baselines/smoke_flame.txt")
+        );
+        assert_eq!(
+            render_blame_json(&events, &Opts::default()),
+            include_str!("../../../../baselines/smoke_blame.json")
+        );
+        for (query, golden) in [
+            (
+                3,
+                include_str!("../../../../baselines/smoke_critpath_q3.txt"),
+            ),
+            (
+                149,
+                include_str!("../../../../baselines/smoke_critpath_q149.txt"),
+            ),
+            (
+                9,
+                include_str!("../../../../baselines/smoke_critpath_q9.txt"),
+            ),
+        ] {
+            assert_eq!(render_critpath(&events, query), golden, "query {query}");
+        }
+    }
+
+    #[test]
     fn diff_of_identical_runs_is_clean() {
         let d = diff_traces(&sample(), &sample());
         let opts = Opts {

@@ -12,8 +12,8 @@ use proteus_core::{AllocationPlan, FamilyMap};
 use proteus_profiler::{Cluster, DeviceId, ModelFamily, VariantId};
 use proteus_sim::{FaultSchedule, SimTime};
 use proteus_trace::{
-    blame, parse_jsonl, span_trees, to_jsonl, BlameCause, EventKind, LifecycleStats, MemorySink,
-    Segment, TraceEvent,
+    blame, collapse_flame, parse_jsonl, span_trees, to_jsonl, BlameCause, EventKind,
+    LifecycleStats, MemorySink, Segment, SpanTree, TraceEvent,
 };
 use proteus_workloads::{
     ArrivalKind, ArrivalProcess, BurstyTrace, FlatTrace, QueryArrival, TraceBuilder,
@@ -21,6 +21,22 @@ use proteus_workloads::{
 
 /// The committed golden trace (regenerate with `PROTEUS_REGEN_GOLDEN=1`).
 const GOLDEN: &str = include_str!("golden/tiny_trace.jsonl");
+
+/// The committed smoke-run trace, and what `trace-query` printed for it
+/// before the span layer's interval index existed: `flame`,
+/// `blame --json`, and `critpath` of an on-time query (3), an expired
+/// drop (149) and a shed drop (9). The smoke run has no late responses.
+const SMOKE: &str = include_str!("../../../baselines/smoke_trace.jsonl");
+const SMOKE_FLAME: &str = include_str!("../../../baselines/smoke_flame.txt");
+const SMOKE_BLAME: &str = include_str!("../../../baselines/smoke_blame.json");
+const SMOKE_CRITPATHS: [(u64, &str); 3] = [
+    (3, include_str!("../../../baselines/smoke_critpath_q3.txt")),
+    (
+        149,
+        include_str!("../../../baselines/smoke_critpath_q149.txt"),
+    ),
+    (9, include_str!("../../../baselines/smoke_critpath_q9.txt")),
+];
 
 /// Always hands out the same plan: one EfficientNet variant on the V100.
 /// No solver runs, so the recorded stream is free of wall-clock times and
@@ -126,6 +142,93 @@ fn golden_trace_round_trips_through_the_parser() {
     // And it is the same stream the run produces today.
     let (recorded, _) = record_tiny_run();
     assert_eq!(events, recorded);
+}
+
+/// `trace-query blame --json` with no `--deny` flags: the documented
+/// machine-readable blame format.
+fn blame_json(events: &[TraceEvent]) -> String {
+    let report = blame(events);
+    let counts: Vec<String> = BlameCause::ALL
+        .iter()
+        .map(|&c| format!("\"{}\":{}", c.label(), report.count(c)))
+        .collect();
+    let verdicts: Vec<String> = report
+        .verdicts
+        .iter()
+        .map(|v| {
+            format!(
+                "{{\"query\":{},\"at\":{},\"cause\":\"{}\",\"queueing\":{},\"model_load\":{},\
+                 \"batch_wait\":{},\"stale_plan\":{}}}",
+                v.query,
+                v.at.as_nanos(),
+                v.cause.label(),
+                v.queueing.as_nanos(),
+                v.model_load.as_nanos(),
+                v.batch_wait.as_nanos(),
+                v.stale_plan.as_nanos()
+            )
+        })
+        .collect();
+    format!(
+        "{{\"arrived\":{},\"violations\":{},\"stale_affected\":{},\"counts\":{{{}}},\
+         \"deny\":[],\"verdicts\":[{}]}}\n",
+        LifecycleStats::from_events(events).arrived,
+        report.total(),
+        report.stale_affected(),
+        counts.join(","),
+        verdicts.join(",")
+    )
+}
+
+/// The `(segment, offset ms, duration ms)` rows of a `critpath`
+/// waterfall, as printed.
+fn critpath_rows(critpath: &str) -> Vec<(Segment, String, String)> {
+    critpath
+        .lines()
+        .filter_map(|line| {
+            let mut cols = line.strip_prefix("    ")?.split_whitespace();
+            let segment = Segment::parse(cols.next()?)?;
+            let offset = cols.next()?.to_string();
+            let dur = cols.nth(1)?.to_string();
+            Some((segment, offset, dur))
+        })
+        .collect()
+}
+
+/// The same rows computed from a span tree.
+fn tree_rows(tree: &SpanTree) -> Vec<(Segment, String, String)> {
+    let ms = |t: SimTime| format!("{:.3}", t.as_millis_f64());
+    tree.spans
+        .iter()
+        .map(|s| {
+            (
+                s.segment,
+                ms(s.start.saturating_sub(tree.start)),
+                ms(s.dur()),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn smoke_trace_analysis_matches_pinned_outputs() {
+    let events = parse_jsonl(SMOKE).expect("smoke trace parses");
+    let trees = span_trees(&events);
+    assert_eq!(collapse_flame(&trees), SMOKE_FLAME, "flame drifted");
+    assert_eq!(blame_json(&events), SMOKE_BLAME, "blame --json drifted");
+    for (query, critpath) in SMOKE_CRITPATHS {
+        let tree = trees
+            .iter()
+            .find(|t| t.query == query)
+            .expect("pinned query has a span tree");
+        let header = format!("{:.3} ms end-to-end", tree.observed().as_millis_f64());
+        assert!(critpath.contains(&header), "query {query}: {header}");
+        assert_eq!(tree_rows(tree), critpath_rows(critpath), "query {query}");
+        if !tree.spans.is_empty() {
+            let dominant = format!("dominated by {}\n", tree.dominant().label());
+            assert!(critpath.contains(&dominant), "query {query}: {dominant}");
+        }
+    }
 }
 
 #[test]
@@ -269,7 +372,7 @@ impl Allocator for AlternatingVariant {
         _current: Option<&AllocationPlan>,
         _now: SimTime,
     ) -> AllocationPlan {
-        let index = if self.calls % 2 == 0 { 0 } else { 4 };
+        let index = if self.calls.is_multiple_of(2) { 0 } else { 4 };
         self.calls += 1;
         let mut p = AllocationPlan::empty(2);
         p.assign(

@@ -6,12 +6,11 @@
 //!
 //! [`MemorySink`]: crate::MemorySink
 
-use std::collections::HashMap;
-
 use proteus_profiler::DeviceId;
 use proteus_sim::SimTime;
 
 use crate::event::{EventKind, TraceEvent};
+use crate::span::{harvest, window, Timelines};
 
 /// Returns every event relevant to one query, in stream order: the events
 /// directly about it (`Arrived`, `Routed`, `Enqueued`, terminals) plus the
@@ -203,49 +202,14 @@ impl BlameReport {
 /// deadline) and expiries on queueing. Every violation therefore lands in
 /// exactly one category by construction.
 pub fn blame(events: &[TraceEvent]) -> BlameReport {
-    // Per-device timelines and per-query routing state, one pass.
-    let mut loads: HashMap<u32, Vec<(SimTime, SimTime)>> = HashMap::new();
-    let mut execs: HashMap<u32, Vec<(SimTime, SimTime, u64)>> = HashMap::new();
-    let mut enqueued_at: HashMap<u64, (SimTime, DeviceId)> = HashMap::new();
-    let mut serving_batch: HashMap<u64, (DeviceId, u64)> = HashMap::new();
-    let mut exec_start: HashMap<(u32, u64), SimTime> = HashMap::new();
-    let mut solves: Vec<(SimTime, SimTime)> = Vec::new();
-    for e in events {
-        match &e.kind {
-            EventKind::SolveStarted { until, .. } => {
-                solves.push((e.at, *until));
-            }
-            EventKind::ModelLoadStarted { device, until, .. } => {
-                loads.entry(device.0).or_default().push((e.at, *until));
-            }
-            EventKind::ExecStarted {
-                device,
-                batch,
-                until,
-                ..
-            } => {
-                execs
-                    .entry(device.0)
-                    .or_default()
-                    .push((e.at, *until, *batch));
-                exec_start.insert((device.0, *batch), e.at);
-            }
-            EventKind::Enqueued { query, device, .. } => {
-                enqueued_at.insert(*query, (e.at, *device));
-            }
-            EventKind::BatchFormed {
-                device,
-                batch,
-                queries,
-            } => {
-                for q in queries {
-                    serving_batch.insert(*q, (*device, *batch));
-                }
-            }
-            _ => {}
-        }
-    }
+    blame_from(&harvest(events), events)
+}
 
+/// [`blame`] over timelines already harvested from `events`. Each overlap
+/// sum runs over the lane's windowed slice only: intervals outside it
+/// overlap the wait window by zero.
+pub(crate) fn blame_from(t: &Timelines, events: &[TraceEvent]) -> BlameReport {
+    let serving_batch = |query: &u64| t.serving.get(query).copied();
     let overlap = |a0: SimTime, a1: SimTime, b0: SimTime, b1: SimTime| -> u64 {
         let lo = a0.max(b0).as_nanos();
         let hi = a1.min(b1).as_nanos();
@@ -256,10 +220,7 @@ pub fn blame(events: &[TraceEvent]) -> BlameReport {
     for e in events {
         let (query, window_end, expired) = match &e.kind {
             EventKind::ServedLate { query, .. } => {
-                let end = serving_batch
-                    .get(query)
-                    .and_then(|&(d, b)| exec_start.get(&(d.0, b)))
-                    .copied();
+                let end = serving_batch(query).and_then(|key| t.exec_start.get(&key).copied());
                 (*query, end, false)
             }
             EventKind::Dropped { query, reason } => {
@@ -292,33 +253,32 @@ pub fn blame(events: &[TraceEvent]) -> BlameReport {
             _ => continue,
         };
 
-        let (start, device) = match enqueued_at.get(&query) {
-            Some(&(t, d)) => (t, d),
+        let (start, device) = match t.enqueued.get(&query) {
+            Some(&(at, d, _)) => (at, d.0),
             // Never enqueued (shouldn't happen for non-shed terminals):
             // treat as a zero-length window.
-            None => (e.at, DeviceId(u32::MAX)),
+            None => (e.at, u32::MAX),
         };
         let end = window_end.unwrap_or(start);
-        let own_batch = serving_batch.get(&query).copied();
+        let own_batch = serving_batch(&query);
 
-        let load_ns: u64 = loads
-            .get(&device.0)
-            .map(|v| v.iter().map(|&(a, b)| overlap(start, end, a, b)).sum())
-            .unwrap_or(0);
-        let busy_ns: u64 = execs
-            .get(&device.0)
-            .map(|v| {
-                v.iter()
-                    .filter(|&&(_, _, b)| own_batch != Some((device, b)))
-                    .map(|&(a, b, _)| overlap(start, end, a, b))
-                    .sum()
-            })
-            .unwrap_or(0);
+        let load_ns: u64 = window(t.loads.get(&device), start, end)
+            .iter()
+            .map(|&(a, b, _)| overlap(start, end, a, b))
+            .sum();
+        let busy_ns: u64 = window(t.execs.get(&device), start, end)
+            .iter()
+            .filter(|&&(_, _, b)| own_batch != Some((device, b)))
+            .map(|&(a, b, _)| overlap(start, end, a, b))
+            .sum();
         let window_ns = end.saturating_sub(start).as_nanos();
         let wait_ns = window_ns.saturating_sub(load_ns + busy_ns);
         // Solve windows never overlap each other (at most one solve is in
         // flight), so a plain sum is the true overlap.
-        let stale_ns: u64 = solves.iter().map(|&(a, b)| overlap(start, end, a, b)).sum();
+        let stale_ns: u64 = window(Some(&t.solves), start, end)
+            .iter()
+            .map(|&(a, b, ())| overlap(start, end, a, b))
+            .sum();
 
         let cause = if window_ns == 0 {
             if expired {

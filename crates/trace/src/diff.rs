@@ -13,9 +13,9 @@ use std::collections::{BTreeMap, HashMap};
 
 use proteus_sim::SimTime;
 
-use crate::analysis::{blame, BlameCause};
+use crate::analysis::{blame_from, BlameCause};
 use crate::event::TraceEvent;
-use crate::span::{span_trees, Segment, SpanTree};
+use crate::span::{harvest, trees_from, Segment, SpanTree};
 
 /// Per-segment latency movement across the aligned queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,11 +105,13 @@ struct RunIndex {
 }
 
 fn index(events: &[TraceEvent]) -> RunIndex {
-    let trees = span_trees(events)
+    // One harvest feeds both the span trees and the blame verdicts.
+    let timelines = harvest(events);
+    let trees = trees_from(&timelines, events)
         .into_iter()
         .map(|t| (t.query, t))
         .collect();
-    let causes = blame(events)
+    let causes = blame_from(&timelines, events)
         .verdicts
         .iter()
         .map(|v| (v.query, v.cause))

@@ -5,6 +5,7 @@
 //! is exactly the dialect the parser accepts: objects with string, integer,
 //! float, null, and integer-array values.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use proteus_profiler::{DeviceId, ModelFamily, VariantId};
@@ -246,12 +247,13 @@ impl std::fmt::Display for ParseEventError {
 
 impl std::error::Error for ParseEventError {}
 
-/// A parsed JSON value of the subset the trace format uses.
+/// A parsed JSON value of the subset the trace format uses. Strings borrow
+/// from the line unless they contain an escape.
 #[derive(Debug, Clone, PartialEq)]
-enum Val {
+enum Val<'a> {
     Int(u64),
     Float(f64),
-    Str(String),
+    Str(Cow<'a, str>),
     Arr(Vec<u64>),
     Null,
 }
@@ -307,7 +309,7 @@ pub fn parse_line(text: &str) -> Result<TraceEvent, ParseEventError> {
     };
     let str_ = |key: &str| -> Result<&str, ParseEventError> {
         match get(key)? {
-            Val::Str(s) => Ok(s.as_str()),
+            Val::Str(s) => Ok(s),
             other => Err(ParseEventError {
                 line: 0,
                 reason: format!("field `{key}` is not a string: {other:?}"),
@@ -568,15 +570,14 @@ fn parse_device_type(s: &str) -> Option<proteus_profiler::DeviceType> {
         .find(|t| t.label() == s)
 }
 
-/// Parses a flat JSON object into `(key, value)` pairs.
-fn parse_object(text: &str) -> Result<Vec<(String, Val)>, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+/// Parses a flat JSON object into `(key, value)` pairs borrowing from
+/// `text`.
+fn parse_object(text: &str) -> Result<Vec<(Cow<'_, str>, Val<'_>)>, String> {
+    let mut p = Parser { src: text, pos: 0 };
     p.skip_ws();
     p.expect_byte(b'{')?;
-    let mut fields = Vec::new();
+    // Trace lines carry at most seven fields: one allocation per line.
+    let mut fields = Vec::with_capacity(8);
     p.skip_ws();
     if p.peek() == Some(b'}') {
         p.pos += 1;
@@ -598,20 +599,21 @@ fn parse_object(text: &str) -> Result<Vec<(String, Val)>, String> {
         }
     }
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err("trailing characters after object".into());
     }
     Ok(fields)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The line being parsed; `pos` is a byte offset into it.
+    src: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn next(&mut self) -> Option<u8> {
@@ -633,26 +635,46 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Parses a string literal. Without escapes it is the slice between the
+    /// quotes; after a backslash the unescaped runs are copied whole.
+    /// Quotes and backslashes are ASCII, so every cut lands on a UTF-8
+    /// character boundary.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect_byte(b'"')?;
-        let mut out = String::new();
+        let src = self.src;
+        let mut owned: Option<String> = None;
         loop {
-            match self.next() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    other => return Err(format!("unsupported escape {other:?}")),
-                },
-                Some(b) => out.push(b as char),
-                None => return Err("unterminated string".into()),
+            let run_start = self.pos;
+            let Some(len) = src.as_bytes()[run_start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                return Err("unterminated string".into());
+            };
+            self.pos += len + 1;
+            let run = &src[run_start..run_start + len];
+            if src.as_bytes()[run_start + len] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
+                    }
+                });
             }
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(run);
+            out.push(match self.next() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'n') => '\n',
+                Some(b't') => '\t',
+                other => return Err(format!("unsupported escape {other:?}")),
+            });
         }
     }
 
-    fn number(&mut self) -> Result<Val, String> {
+    fn number(&mut self) -> Result<Val<'a>, String> {
         let start = self.pos;
         while matches!(
             self.peek(),
@@ -660,7 +682,8 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        // Only ASCII bytes were consumed, so the cut is on a boundary.
+        let text = &self.src[start..self.pos];
         if text.is_empty() {
             return Err("expected a number".into());
         }
@@ -675,11 +698,11 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Val, String> {
+    fn value(&mut self) -> Result<Val<'a>, String> {
         match self.peek() {
             Some(b'"') => Ok(Val::Str(self.string()?)),
             Some(b'n') => {
-                if self.bytes[self.pos..].starts_with(b"null") {
+                if self.src.as_bytes()[self.pos..].starts_with(b"null") {
                     self.pos += 4;
                     Ok(Val::Null)
                 } else {
@@ -979,6 +1002,17 @@ mod tests {
                 latency: SimTime::from_nanos(5),
                 epoch: 0,
             }
+        );
+    }
+
+    #[test]
+    fn non_ascii_strings_decode_intact() {
+        let fields = parse_object("{\"k\":\"café ✓\",\"esc\":\"a\\\"é\\\\ü\"}").unwrap();
+        assert_eq!(fields[0], (Cow::Borrowed("k"), Val::Str("café ✓".into())));
+        assert!(matches!(&fields[0].1, Val::Str(Cow::Borrowed(_))));
+        assert_eq!(
+            fields[1],
+            (Cow::Borrowed("esc"), Val::Str("a\"é\\ü".into()))
         );
     }
 

@@ -222,37 +222,109 @@ impl SpanTree {
     }
 }
 
+/// One interval lane (a device's executions or loads, or the solve
+/// windows), indexed so that the intervals able to overlap a query's wait
+/// window form one contiguous slice.
+///
+/// Intervals are sorted by start; `reach[i]` is the largest end among
+/// `intervals[..=i]`. Ends alone are not monotone — a batch salvaged from a
+/// crash can end after the next batch on the same device starts — but
+/// `reach` is, so both edges of a window are binary searches.
+pub(crate) struct Lane<T> {
+    /// `(start, until, payload)`, sorted by start.
+    intervals: Vec<(SimTime, SimTime, T)>,
+    /// Prefix maximum of the ends.
+    reach: Vec<SimTime>,
+}
+
+impl<T> Default for Lane<T> {
+    fn default() -> Self {
+        Self {
+            intervals: Vec::new(),
+            reach: Vec::new(),
+        }
+    }
+}
+
+impl<T> Lane<T> {
+    fn push(&mut self, start: SimTime, until: SimTime, payload: T) {
+        self.intervals.push((start, until, payload));
+    }
+
+    /// Sorts by start (stable: a time-ordered trace is already sorted, so
+    /// this keeps trace order) and builds the prefix-max of the ends.
+    fn seal(&mut self) {
+        self.intervals.sort_by_key(|&(start, _, _)| start);
+        let mut reach = SimTime::ZERO;
+        self.reach = self
+            .intervals
+            .iter()
+            .map(|&(_, until, _)| {
+                reach = reach.max(until);
+                reach
+            })
+            .collect();
+    }
+}
+
+/// The intervals of `lane` that can overlap `[s, e)`, in lane order: from
+/// the first whose `reach` passes `s` up to the first that starts at or
+/// after `e`. Every interval left out has no overlap with `[s, e)`. A
+/// device with no lane has no intervals.
+pub(crate) fn window<T>(
+    lane: Option<&Lane<T>>,
+    s: SimTime,
+    e: SimTime,
+) -> &[(SimTime, SimTime, T)] {
+    let Some(lane) = lane else {
+        return &[];
+    };
+    let hi = lane.intervals.partition_point(|&(start, _, _)| start < e);
+    let lo = lane.reach[..hi].partition_point(|&r| r <= s);
+    &lane.intervals[lo..hi]
+}
+
 /// Per-device interval timelines harvested in one pass over the trace.
-struct Timelines {
-    /// Device → `(start, until, batch)` execution intervals.
-    execs: HashMap<u32, Vec<(SimTime, SimTime, u64)>>,
-    /// Device → `(start, until, variant)` load intervals.
-    loads: HashMap<u32, Vec<(SimTime, SimTime, Option<VariantId>)>>,
-    /// Open solve windows `(start, until)` (never overlapping: at most one
-    /// solve is in flight).
-    solves: Vec<(SimTime, SimTime)>,
+/// Shared by the span layer and [`blame`](crate::analysis::blame).
+#[derive(Default)]
+pub(crate) struct Timelines {
+    /// Device → execution intervals, payload = batch.
+    pub(crate) execs: HashMap<u32, Lane<u64>>,
+    /// Device → load intervals, payload = variant (`None` = unload).
+    pub(crate) loads: HashMap<u32, Lane<Option<VariantId>>>,
+    /// Open solve windows (never overlapping: at most one solve is in
+    /// flight).
+    pub(crate) solves: Lane<()>,
     /// Query → arrival `(at, family)`.
     arrived: HashMap<u64, (SimTime, ModelFamily)>,
     /// Query → final placement `(at, device, behind)`.
-    enqueued: HashMap<u64, (SimTime, DeviceId, Option<u64>)>,
-    /// Query → batches it was ever a member of (`(device, batch)`).
-    member_of: HashMap<u64, Vec<(u32, u64)>>,
+    pub(crate) enqueued: HashMap<u64, (SimTime, DeviceId, Option<u64>)>,
+    /// Query → the last batch it joined (`(device, batch)`): the one that
+    /// served it. One map entry, not a list, per query: most queries join
+    /// a single batch.
+    pub(crate) serving: HashMap<u64, (u32, u64)>,
+    /// Query → the earlier batches it joined, which crashes rolled back.
+    rolled_back: HashMap<u64, Vec<(u32, u64)>>,
     /// `(device, batch)` → exec start.
-    exec_start: HashMap<(u32, u64), SimTime>,
+    pub(crate) exec_start: HashMap<(u32, u64), SimTime>,
     /// Query → crash-salvage retries `(from, attempt)`.
     retries: HashMap<u64, Vec<(DeviceId, u32)>>,
 }
 
-fn harvest(events: &[TraceEvent]) -> Timelines {
+pub(crate) fn harvest(events: &[TraceEvent]) -> Timelines {
+    // Sizing the per-query and per-batch maps up front spares rehashing
+    // every key while they grow.
+    let (queries, batches) = events.iter().fold((0, 0), |(q, b), e| match e.kind {
+        EventKind::Arrived { .. } => (q + 1, b),
+        EventKind::ExecStarted { .. } => (q, b + 1),
+        _ => (q, b),
+    });
     let mut t = Timelines {
-        execs: HashMap::new(),
-        loads: HashMap::new(),
-        solves: Vec::new(),
-        arrived: HashMap::new(),
-        enqueued: HashMap::new(),
-        member_of: HashMap::new(),
-        exec_start: HashMap::new(),
-        retries: HashMap::new(),
+        arrived: HashMap::with_capacity(queries),
+        enqueued: HashMap::with_capacity(queries),
+        serving: HashMap::with_capacity(queries),
+        exec_start: HashMap::with_capacity(batches),
+        ..Timelines::default()
     };
     for e in events {
         match &e.kind {
@@ -275,7 +347,9 @@ fn harvest(events: &[TraceEvent]) -> Timelines {
                 queries,
             } => {
                 for q in queries {
-                    t.member_of.entry(*q).or_default().push((device.0, *batch));
+                    if let Some(earlier) = t.serving.insert(*q, (device.0, *batch)) {
+                        t.rolled_back.entry(*q).or_default().push(earlier);
+                    }
                 }
             }
             EventKind::ExecStarted {
@@ -287,7 +361,7 @@ fn harvest(events: &[TraceEvent]) -> Timelines {
                 t.execs
                     .entry(device.0)
                     .or_default()
-                    .push((e.at, *until, *batch));
+                    .push(e.at, *until, *batch);
                 t.exec_start.insert((device.0, *batch), e.at);
             }
             EventKind::ModelLoadStarted {
@@ -298,10 +372,10 @@ fn harvest(events: &[TraceEvent]) -> Timelines {
                 t.loads
                     .entry(device.0)
                     .or_default()
-                    .push((e.at, *until, *variant));
+                    .push(e.at, *until, *variant);
             }
             EventKind::SolveStarted { until, .. } => {
-                t.solves.push((e.at, *until));
+                t.solves.push(e.at, *until, ());
             }
             EventKind::QueryRetried {
                 query,
@@ -313,6 +387,9 @@ fn harvest(events: &[TraceEvent]) -> Timelines {
             _ => {}
         }
     }
+    t.execs.values_mut().for_each(Lane::seal);
+    t.loads.values_mut().for_each(Lane::seal);
+    t.solves.seal();
     t
 }
 
@@ -408,10 +485,9 @@ fn build_tree(t: &Timelines, terminal: &TraceEvent) -> Option<SpanTree> {
         .map_or((end, None), |&(at, f)| (at, Some(f)));
     let placement = t.enqueued.get(&query).copied();
     let device = placement.map(|(_, d, _)| d);
-    let own: &[(u32, u64)] = t.member_of.get(&query).map_or(&[], Vec::as_slice);
-    // The serving batch is the last one the query joined; earlier ones were
-    // rolled back by crashes.
-    let serving = own.last().copied();
+    let serving = t.serving.get(&query).copied();
+    let rolled_back: &[(u32, u64)] = t.rolled_back.get(&query).map_or(&[], Vec::as_slice);
+    let own = |key: (u32, u64)| serving == Some(key) || rolled_back.contains(&key);
     let mut spans = Vec::new();
     let mut edges = Vec::new();
 
@@ -441,19 +517,22 @@ fn build_tree(t: &Timelines, terminal: &TraceEvent) -> Option<SpanTree> {
             .filter(|&at| at >= enq_at && at <= end);
         let window_end = exec_start.unwrap_or(end);
 
+        // Only the lanes' windowed slices can overlap the wait window;
+        // everything else would add no cut and cover no sub-interval.
+        let loads = window(t.loads.get(&dev.0), enq_at, window_end);
         let mut intervals: Vec<(SimTime, SimTime, Class)> = Vec::new();
-        for &(a, b, batch) in t.execs.get(&dev.0).map_or(&[][..], Vec::as_slice) {
-            let class = if own.contains(&(dev.0, batch)) {
+        for &(a, b, batch) in window(t.execs.get(&dev.0), enq_at, window_end) {
+            let class = if own((dev.0, batch)) {
                 Class::OwnExec
             } else {
                 Class::OtherExec
             };
             intervals.push((a, b, class));
         }
-        for &(a, b, _) in t.loads.get(&dev.0).map_or(&[][..], Vec::as_slice) {
+        for &(a, b, _) in loads {
             intervals.push((a, b, Class::Load));
         }
-        for &(a, b) in &t.solves {
+        for &(a, b, ()) in window(Some(&t.solves), enq_at, window_end) {
             intervals.push((a, b, Class::Solve));
         }
         sweep(enq_at, window_end, &intervals, &mut spans);
@@ -472,24 +551,21 @@ fn build_tree(t: &Timelines, terminal: &TraceEvent) -> Option<SpanTree> {
             .map(|s| s.dur().as_nanos())
             .sum();
         if load_total > 0 {
-            // Blame the load with the largest clipped overlap.
-            let best = t
-                .loads
-                .get(&dev.0)
-                .and_then(|loads| {
-                    loads
-                        .iter()
-                        .map(|&(a, b, v)| {
-                            let lo = a.max(enq_at).as_nanos();
-                            let hi = b.min(window_end).as_nanos();
-                            (hi.saturating_sub(lo), v)
-                        })
-                        .max_by_key(|&(overlap, _)| overlap)
+            // Blame the load with the largest clipped overlap (the last of
+            // equal maxima). Every load with nonzero overlap is in the
+            // window, in lane order.
+            let best = loads
+                .iter()
+                .map(|&(a, b, v)| {
+                    let lo = a.max(enq_at).as_nanos();
+                    let hi = b.min(window_end).as_nanos();
+                    (hi.saturating_sub(lo), v)
                 })
-                .map(|(_, v)| v);
+                .max_by_key(|&(overlap, _)| overlap)
+                .and_then(|(_, v)| v);
             edges.push(CausalEdge::WaitedOnLoad {
                 device: dev,
-                variant: best.flatten(),
+                variant: best,
                 stall: SimTime::from_nanos(load_total),
             });
         }
@@ -533,8 +609,12 @@ fn build_tree(t: &Timelines, terminal: &TraceEvent) -> Option<SpanTree> {
 /// Folds a trace into one span tree per terminal query, in terminal-event
 /// order.
 pub fn span_trees(events: &[TraceEvent]) -> Vec<SpanTree> {
-    let t = harvest(events);
-    events.iter().filter_map(|e| build_tree(&t, e)).collect()
+    trees_from(&harvest(events), events)
+}
+
+/// [`span_trees`] over timelines already harvested from `events`.
+pub(crate) fn trees_from(t: &Timelines, events: &[TraceEvent]) -> Vec<SpanTree> {
+    events.iter().filter_map(|e| build_tree(t, e)).collect()
 }
 
 /// The span tree of one query, if it reached a terminal event.
@@ -990,6 +1070,182 @@ mod tests {
         let flame = collapse_flame(&span_trees(&queued_trace()));
         assert_eq!(flame, "ResNet;d0;exec 100000\nResNet;d0;queue 100000\n");
         assert_eq!(collapse_flame(&[]), "");
+    }
+
+    /// xorshift64*: a dependency-free generator for the property test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        }
+    }
+
+    #[test]
+    fn windowed_sweep_equals_full_sweep() {
+        let classes = [Class::OwnExec, Class::OtherExec, Class::Load, Class::Solve];
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for case in 0..200 {
+            let mut lane = Lane::default();
+            for _ in 0..rng.below(40) {
+                let start = rng.below(1_000);
+                // One interval in five is zero-length; the rest overlap
+                // freely, so ends are not monotone in start order.
+                let len = if rng.below(5) == 0 { 0 } else { rng.below(300) };
+                let class = classes[rng.below(4) as usize];
+                lane.push(t(start), t(start + len), class);
+            }
+            lane.seal();
+            for _ in 0..10 {
+                let s = rng.below(1_200);
+                let e = s + rng.below(400);
+                let (s, e) = (t(s), t(e));
+                let slice = window(Some(&lane), s, e);
+                let overlaps = |iv: &&(SimTime, SimTime, Class)| iv.0 < e && iv.1 > s;
+                assert_eq!(
+                    slice.iter().filter(overlaps).count(),
+                    lane.intervals.iter().filter(overlaps).count(),
+                    "case {case}: the window dropped an overlapping interval"
+                );
+                let (mut full, mut windowed) = (Vec::new(), Vec::new());
+                sweep(s, e, &lane.intervals, &mut full);
+                sweep(s, e, slice, &mut windowed);
+                assert_eq!(windowed, full, "case {case}, window {s:?}..{e:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn salvaged_batch_ending_past_the_next_batch_still_counts() {
+        // d0 starts batch 1 (q1) at 0 planned until 300 and crashes at 50;
+        // q1 is salvaged to d1. After recovery d0 runs batch 2 (q2,
+        // 120-180) and batch 3 (q3, 250-320). Batch 1's recorded end (300)
+        // passes batch 2's start, so d0's exec ends are not monotone.
+        let arrive = |ms, query| {
+            ev(
+                ms,
+                EventKind::Arrived {
+                    query,
+                    family: ModelFamily::ResNet,
+                },
+            )
+        };
+        let enqueue = |ms, query, device| {
+            ev(
+                ms,
+                EventKind::Enqueued {
+                    query,
+                    device: DeviceId(device),
+                    depth: 1,
+                    behind: None,
+                },
+            )
+        };
+        let run = |ms, device, batch, query, until| {
+            [
+                ev(
+                    ms,
+                    EventKind::BatchFormed {
+                        device: DeviceId(device),
+                        batch,
+                        queries: vec![query],
+                    },
+                ),
+                ev(
+                    ms,
+                    EventKind::ExecStarted {
+                        device: DeviceId(device),
+                        batch,
+                        variant: variant(),
+                        size: 1,
+                        until: t(until),
+                    },
+                ),
+            ]
+        };
+        let served = |ms, query, late: bool| {
+            let (latency, epoch) = (t(ms), 1);
+            ev(
+                ms,
+                if late {
+                    EventKind::ServedLate {
+                        query,
+                        latency,
+                        epoch,
+                    }
+                } else {
+                    EventKind::ServedOnTime {
+                        query,
+                        latency,
+                        epoch,
+                    }
+                },
+            )
+        };
+        let mut events = vec![arrive(0, 1), enqueue(0, 1, 0)];
+        events.extend(run(0, 0, 1, 1, 300));
+        events.extend([
+            ev(
+                50,
+                EventKind::WorkerCrashed {
+                    device: DeviceId(0),
+                },
+            ),
+            ev(
+                50,
+                EventKind::QueryRetried {
+                    query: 1,
+                    from: DeviceId(0),
+                    attempt: 1,
+                },
+            ),
+            enqueue(50, 1, 1),
+        ]);
+        events.extend(run(60, 1, 7, 1, 150));
+        events.extend([
+            ev(
+                100,
+                EventKind::WorkerRecovered {
+                    device: DeviceId(0),
+                },
+            ),
+            arrive(110, 2),
+            enqueue(110, 2, 0),
+        ]);
+        events.extend(run(120, 0, 2, 2, 180));
+        events.extend([
+            served(150, 1, false),
+            served(180, 2, false),
+            arrive(190, 3),
+            enqueue(190, 3, 0),
+        ]);
+        events.extend(run(250, 0, 3, 3, 320));
+        events.push(served(320, 3, true));
+
+        // q3 waits 190-250 with only batch 1's stale interval covering it:
+        // the index must still reach back to it.
+        let q3 = span_tree(&events, 3).unwrap();
+        assert_eq!(q3.invariant_gap(), 0);
+        assert_eq!(q3.segment_total(Segment::Queue), t(60));
+        assert_eq!(q3.segment_total(Segment::Exec), t(70));
+        let q2 = span_tree(&events, 2).unwrap();
+        assert_eq!(q2.segment_total(Segment::Queue), t(10));
+        assert_eq!(q2.segment_total(Segment::Exec), t(60));
+        let q1 = span_tree(&events, 1).unwrap();
+        assert_eq!(q1.segment_total(Segment::Retry), t(50));
+        assert_eq!(q1.segment_total(Segment::BatchWait), t(10));
+        assert_eq!(q1.segment_total(Segment::Exec), t(90));
+
+        let report = crate::analysis::blame(&events);
+        assert_eq!(report.total(), 1);
+        let v = &report.verdicts[0];
+        assert_eq!(v.query, 3);
+        assert_eq!(v.cause, crate::analysis::BlameCause::Queueing);
+        assert_eq!(v.queueing, t(60));
+        assert_eq!(v.batch_wait, SimTime::ZERO);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use proteus_core::{AllocationPlan, FamilyMap};
 use proteus_profiler::{Cluster, DeviceId, ModelFamily, VariantId};
 use proteus_sim::{FaultSchedule, SimTime};
 use proteus_trace::{
-    blame, collapse_flame, parse_jsonl, span_trees, to_jsonl, BlameCause, EventKind,
-    LifecycleStats, MemorySink, Segment, SpanTree, TraceEvent,
+    blame, collapse_flame, parse_jsonl, span_trees, to_jsonl, BlameCause, EventKind, JsonlSink,
+    LifecycleStats, MemorySink, Segment, SpanTree, TraceEvent, TraceSink,
 };
 use proteus_workloads::{
     ArrivalKind, ArrivalProcess, BurstyTrace, FlatTrace, QueryArrival, TraceBuilder,
@@ -229,6 +229,25 @@ fn smoke_trace_analysis_matches_pinned_outputs() {
             assert!(critpath.contains(&dominant), "query {query}: {dominant}");
         }
     }
+}
+
+/// Re-recording the parsed smoke trace through the streaming sink must
+/// reproduce the committed file byte for byte: every kind the smoke run
+/// emits, the sink's line assembly and its newline framing.
+#[test]
+fn smoke_trace_re_records_byte_for_byte_through_the_jsonl_sink() {
+    let events = parse_jsonl(SMOKE).expect("smoke trace parses");
+    let mut sink = JsonlSink::new(Vec::new());
+    for e in &events {
+        sink.record(e);
+    }
+    assert_eq!(sink.events_written(), events.len() as u64);
+    let bytes = sink.finish().expect("an in-memory sink cannot fail");
+    let text = String::from_utf8(bytes).expect("the encoder writes UTF-8");
+    for (i, (got, want)) in text.lines().zip(SMOKE.lines()).enumerate() {
+        assert_eq!(got, want, "first divergence at smoke line {}", i + 1);
+    }
+    assert!(text == SMOKE, "line count or framing drifted");
 }
 
 #[test]

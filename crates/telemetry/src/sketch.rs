@@ -129,6 +129,12 @@ impl QuantileSketch {
     /// Records one value. Non-finite and negative values are clamped into
     /// the zero bucket rather than rejected (telemetry must not panic).
     pub fn record(&mut self, v: f64) {
+        self.record_keyed(v);
+    }
+
+    /// [`record`](Self::record), returning the grid key `v` landed in, or
+    /// `None` for the zero bucket.
+    fn record_keyed(&mut self, v: f64) -> Option<i64> {
         let v = if v.is_finite() { v } else { 0.0 };
         self.count += 1;
         self.sum += v.max(0.0);
@@ -136,21 +142,25 @@ impl QuantileSketch {
         self.max = self.max.max(v.max(0.0));
         if v <= MIN_TRACKABLE {
             self.zero_count += 1;
-            return;
+            return None;
         }
         let k = self.key(v);
         self.add_at_key(k, 1);
+        Some(k)
     }
 
     /// Records one value attributed to a query, retaining it as the
     /// bucket's exemplar when exemplar tracking is on. Identical to
     /// [`record`](Self::record) otherwise.
     pub fn record_exemplar(&mut self, v: f64, query: u64) {
-        self.record(v);
-        if !self.keep_exemplars || !v.is_finite() || v <= MIN_TRACKABLE {
+        // Non-finite values land in the zero bucket, which keeps no
+        // exemplar.
+        let Some(key) = self.record_keyed(v) else {
+            return;
+        };
+        if !self.keep_exemplars {
             return;
         }
-        let key = self.key(v);
         match self.exemplars.binary_search_by_key(&key, |&(k, _)| k) {
             // Latest observation wins: a fresh trace is more likely to
             // still be in the recorded window than an early one.

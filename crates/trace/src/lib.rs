@@ -54,6 +54,6 @@ pub use analysis::{blame, query_lifecycle, BlameCause, BlameReport, BlameVerdict
 pub use chrome::export_chrome;
 pub use diff::{diff_traces, CauseMigration, DiffReport, SegmentDelta};
 pub use event::{AlertSeverity, DiscardReason, DropReason, EventKind, ReplanCause, TraceEvent};
-pub use json::{parse_jsonl, parse_line, to_jsonl, ParseEventError};
+pub use json::{parse_jsonl, parse_line, to_jsonl, write_jsonl, ParseEventError};
 pub use sink::{JsonlSink, MemorySink, NullSink, TraceSink};
 pub use span::{collapse_flame, span_tree, span_trees, CausalEdge, Outcome, Segment, SpanTree};

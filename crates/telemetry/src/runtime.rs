@@ -89,7 +89,8 @@ pub struct AlertRecord {
 /// End-of-run telemetry summary, attached to `RunOutcome`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySummary {
-    /// Full windows emitted (pages rendered).
+    /// Full windows closed (each rendered as a page when an exposition
+    /// file or HTTP listener is attached).
     pub windows: u64,
     /// Alerts fired across all rules and scopes.
     pub alerts_fired: u64,
@@ -276,15 +277,19 @@ impl TelemetryRuntime {
             return;
         };
         self.windows += 1;
-        let page = render_page(self.windows, &self.registry, &self.burn, &view);
-        if let Some(writer) = self.expo.as_mut() {
-            if writer.write_all(page.as_bytes()).is_err() {
-                self.io_error = true;
-                self.expo = None;
+        // A page is rendered only when the exposition file or the HTTP
+        // listener will read it.
+        if self.expo.is_some() || self.http.is_some() {
+            let page = render_page(self.windows, &self.registry, &self.burn, &view);
+            if let Some(writer) = self.expo.as_mut() {
+                if writer.write_all(page.as_bytes()).is_err() {
+                    self.io_error = true;
+                    self.expo = None;
+                }
             }
-        }
-        if let Some(http) = self.http.as_ref() {
-            http.publish(&page);
+            if let Some(http) = self.http.as_ref() {
+                http.publish(&page);
+            }
         }
         if self.cfg.live {
             let frame = self.dashboard.render(&self.registry, &self.burn, &view);
@@ -410,6 +415,34 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("exposition file");
         let stats = crate::validate::validate(&text).expect("valid exposition");
         assert_eq!(stats.pages as u64, summary.windows);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn windows_close_without_a_page_consumer() {
+        let run = |expo_path: Option<std::path::PathBuf>| {
+            let mut rt = TelemetryRuntime::new(TelemetryConfig {
+                window: SimTime::from_secs(2),
+                expo_path,
+                ..Default::default()
+            });
+            for s in 1..=5u64 {
+                rt.on_arrival(ModelFamily::ResNet);
+                rt.on_served(s, ModelFamily::ResNet, 0.95, true, SimTime::from_millis(35));
+                rt.tick(SimTime::from_secs(s), &devs());
+            }
+            rt.finish(SimTime::from_secs(6), &devs())
+        };
+        let path = std::env::temp_dir().join("proteus_telemetry_no_consumer_test.prom");
+        let _ = std::fs::remove_file(&path);
+        let with_file = run(Some(path.clone()));
+        let without = run(None);
+        assert!(without.windows >= 2);
+        assert_eq!(without.windows, with_file.windows);
+        assert_eq!(without.alerts_fired, with_file.alerts_fired);
+        let text = std::fs::read_to_string(&path).expect("exposition file");
+        let stats = crate::validate::validate(&text).expect("valid exposition");
+        assert_eq!(stats.pages as u64, with_file.windows);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,0 +1,189 @@
+//! Differential check of the two metric pipelines fed from the serving
+//! loop's hooks: the batch-oriented [`MetricsCollector`] behind
+//! `RunOutcome::metrics`, and the telemetry plane's windowed `Registry`
+//! behind the Prometheus exposition.
+//!
+//! One fault-scripted run is recorded with telemetry writing an exposition
+//! file and with a [`MemorySink`]. The last exposition page must agree with
+//! the collector exactly on every per-family flow counter, and both latency
+//! estimators must sit within their documented error of the exact
+//! percentiles of the traced serve latencies.
+//!
+//! [`MetricsCollector`]: proteus_metrics::MetricsCollector
+
+use std::collections::BTreeMap;
+
+use proteus_core::batching::ProteusBatching;
+use proteus_core::schedulers::ProteusAllocator;
+use proteus_core::system::{ServingSystem, SolveLatency, SystemConfig, TelemetryConfig};
+use proteus_profiler::ModelFamily;
+use proteus_trace::{EventKind, MemorySink};
+use proteus_workloads::{BurstyTrace, TraceBuilder};
+
+/// The telemetry sketch's relative-error bound (its default `sketch_alpha`).
+const SKETCH_ALPHA: f64 = 0.01;
+/// `LatencyHistogram`'s bucket growth: it reports the upper edge of the
+/// bucket holding the rank, at most 9 % above the exact value.
+const HISTOGRAM_GROWTH: f64 = 1.09;
+
+/// The samples of the last page of a Prometheus exposition file, keyed by
+/// the sample's name plus label set exactly as written (`name{labels}`).
+fn last_page(text: &str) -> BTreeMap<String, f64> {
+    let start = text.rfind("# page").expect("at least one exposition page");
+    text[start..]
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+        .map(|l| {
+            // Drop an OpenMetrics exemplar suffix, then split name / value.
+            let sample = l.split(" # ").next().unwrap_or(l);
+            let (key, value) = sample.rsplit_once(' ').expect("`name value` sample");
+            (
+                key.to_string(),
+                value.parse().expect("numeric sample value"),
+            )
+        })
+        .collect()
+}
+
+/// Exact `q`-quantile of sorted `xs`, with the same rank convention as
+/// both estimators: the `ceil(q·n)`-th smallest value.
+fn exact_quantile(xs: &[f64], q: f64) -> f64 {
+    let rank = ((q * xs.len() as f64).ceil() as usize).clamp(1, xs.len());
+    xs[rank - 1]
+}
+
+#[test]
+fn exposition_and_collector_agree_on_a_fault_scripted_run() {
+    let arrivals = TraceBuilder::new(TraceBuilder::paper_families())
+        .seed(5)
+        .build(&BurstyTrace {
+            low_qps: 150.0,
+            high_qps: 700.0,
+            burst_start: 10,
+            burst_end: 20,
+            secs: 30,
+        });
+    let expo = std::env::temp_dir().join(format!(
+        "proteus-metric-pipelines-{}.prom",
+        std::process::id()
+    ));
+    let mut config = SystemConfig::small();
+    config.solve_latency = SolveLatency::Model;
+    config.realloc_period_secs = 5.0;
+    config.faults = "crash@8:7; recover@18:7; slow@12-20:3x3.0; loadfail@0.1"
+        .parse()
+        .expect("fault script parses");
+    config.telemetry = Some(TelemetryConfig {
+        expo_path: Some(expo.clone()),
+        ..TelemetryConfig::default()
+    });
+    let mut sink = MemorySink::new();
+    let outcome = ServingSystem::new(
+        config,
+        Box::new(ProteusAllocator::default()),
+        Box::new(ProteusBatching),
+    )
+    .run_traced(&arrivals, &mut sink);
+    let text = std::fs::read_to_string(&expo).expect("exposition file written");
+    let _ = std::fs::remove_file(&expo);
+    let page = last_page(&text);
+    let sample = |key: String| -> u64 {
+        let v = *page
+            .get(&key)
+            .unwrap_or_else(|| panic!("missing sample {key}"));
+        v as u64
+    };
+
+    // Flow counters: exact per-family agreement.
+    let summary = outcome.metrics.summary();
+    assert!(
+        summary.total_dropped > 0,
+        "the fault script must cost drops"
+    );
+    assert!(
+        summary.total_violations > summary.total_dropped,
+        "the run must serve some queries late"
+    );
+    let families = outcome.metrics.family_summaries();
+    for f in ModelFamily::ALL {
+        // A family with no arrivals has no summary and all-zero counters.
+        let (arrived, served, dropped, violations) = families
+            .iter()
+            .find(|s| s.family == f)
+            .map_or((0, 0, 0, 0), |s| {
+                let s = &s.summary;
+                (
+                    s.total_arrived,
+                    s.total_served,
+                    s.total_dropped,
+                    s.total_violations,
+                )
+            });
+        let late = violations - dropped;
+        let label = f.label();
+        assert_eq!(
+            sample(format!(
+                "proteus_queries_arrived_total{{family=\"{label}\"}}"
+            )),
+            arrived,
+            "{label}: arrivals"
+        );
+        assert_eq!(
+            sample(format!(
+                "proteus_queries_served_total{{family=\"{label}\",outcome=\"on_time\"}}"
+            )),
+            served - late,
+            "{label}: on-time serves"
+        );
+        assert_eq!(
+            sample(format!(
+                "proteus_queries_served_total{{family=\"{label}\",outcome=\"late\"}}"
+            )),
+            late,
+            "{label}: late serves"
+        );
+        assert_eq!(
+            sample(format!(
+                "proteus_queries_dropped_total{{family=\"{label}\"}}"
+            )),
+            dropped,
+            "{label}: drops"
+        );
+    }
+
+    // Latency: both estimators against the exact traced distribution.
+    let mut latencies: Vec<f64> = sink
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::ServedOnTime { latency, .. } | EventKind::ServedLate { latency, .. } => {
+                Some(latency.as_secs_f64())
+            }
+            _ => None,
+        })
+        .collect();
+    latencies.sort_by(f64::total_cmp);
+    assert_eq!(latencies.len() as u64, summary.total_served);
+    assert_eq!(
+        sample("proteus_latency_seconds_count".into()),
+        summary.total_served
+    );
+    for (q, label, histogram) in [
+        (0.5, "0.5", summary.latency_p50),
+        (0.99, "0.99", summary.latency_p99),
+    ] {
+        let exact = exact_quantile(&latencies, q);
+        let sketch = page[&format!("proteus_latency_seconds{{quantile=\"{label}\"}}")];
+        assert!(
+            (sketch - exact).abs() <= SKETCH_ALPHA * exact,
+            "p{label}: sketch {sketch} vs exact {exact}"
+        );
+        let histogram = histogram
+            .expect("served queries have a percentile")
+            .as_secs_f64();
+        assert!(
+            histogram >= exact && histogram <= HISTOGRAM_GROWTH * exact,
+            "p{label}: histogram {histogram} vs exact {exact}"
+        );
+    }
+}

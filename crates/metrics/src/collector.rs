@@ -35,7 +35,8 @@ impl Bucket {
         (served > 0).then(|| self.accuracy_sum / served as f64)
     }
 
-    fn merge(&mut self, other: &Bucket) {
+    /// Adds `other`'s counters into this bucket.
+    pub fn merge(&mut self, other: &Bucket) {
         self.arrived += other.arrived;
         self.served_on_time += other.served_on_time;
         self.served_late += other.served_late;

@@ -16,11 +16,10 @@
 
 use std::collections::VecDeque;
 
+use proteus_metrics::Bucket;
 use proteus_profiler::ModelFamily;
 use proteus_sim::SimTime;
 use proteus_trace::AlertSeverity;
-
-use crate::registry::FlowCell;
 
 /// One burn-rate alerting rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -211,7 +210,7 @@ impl BurnEngine {
     pub fn push_step(
         &mut self,
         at: SimTime,
-        flows: &[FlowCell; ModelFamily::COUNT],
+        flows: &[Bucket; ModelFamily::COUNT],
     ) -> Vec<AlertTransition> {
         let mut counts = [StepCount::default(); SCOPES];
         for (i, cell) in flows.iter().enumerate() {
@@ -311,8 +310,8 @@ mod tests {
         }
     }
 
-    fn flows(arrived: u64, dropped: u64) -> [FlowCell; ModelFamily::COUNT] {
-        let mut f = [FlowCell::default(); ModelFamily::COUNT];
+    fn flows(arrived: u64, dropped: u64) -> [Bucket; ModelFamily::COUNT] {
+        let mut f = [Bucket::default(); ModelFamily::COUNT];
         f[0].arrived = arrived;
         f[0].dropped = dropped;
         f[0].served_on_time = arrived - dropped;

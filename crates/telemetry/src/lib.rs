@@ -37,7 +37,8 @@ pub mod validate;
 
 pub use burn::{AlertTransition, BurnEngine, BurnRule};
 pub use dashboard::Dashboard;
-pub use registry::{DeviceSample, FlowCell, Phase, Registry, WindowView};
+pub use proteus_metrics::Bucket;
+pub use registry::{DeviceSample, Phase, Registry, WindowView};
 pub use runtime::{AlertRecord, TelemetryConfig, TelemetryRuntime, TelemetrySummary};
 pub use sketch::{Exemplar, QuantileSketch};
 pub use validate::{validate, Stats, Violation};

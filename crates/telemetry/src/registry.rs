@@ -11,6 +11,7 @@
 
 use std::collections::VecDeque;
 
+use proteus_metrics::Bucket;
 use proteus_profiler::ModelFamily;
 use proteus_sim::SimTime;
 
@@ -77,41 +78,6 @@ impl Phase {
     }
 }
 
-/// Per-family flow counters for one step (or cumulatively).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FlowCell {
-    /// Queries that arrived.
-    pub arrived: u64,
-    /// Queries served within their SLO.
-    pub served_on_time: u64,
-    /// Queries served after their deadline.
-    pub served_late: u64,
-    /// Queries dropped.
-    pub dropped: u64,
-    /// Sum of normalized accuracy over served queries.
-    pub accuracy_sum: f64,
-}
-
-impl FlowCell {
-    /// Served queries (on time or late).
-    pub fn served(&self) -> u64 {
-        self.served_on_time + self.served_late
-    }
-
-    /// SLO violations: drops plus late responses (the paper's definition).
-    pub fn violations(&self) -> u64 {
-        self.dropped + self.served_late
-    }
-
-    fn add(&mut self, other: &FlowCell) {
-        self.arrived += other.arrived;
-        self.served_on_time += other.served_on_time;
-        self.served_late += other.served_late;
-        self.dropped += other.dropped;
-        self.accuracy_sum += other.accuracy_sum;
-    }
-}
-
 /// Instantaneous per-device state sampled at a monitoring tick. The
 /// `busy` / `batches` / `queries` fields are cumulative since run start;
 /// the registry differences consecutive samples to get window rates.
@@ -133,7 +99,7 @@ pub struct DeviceSample {
 #[derive(Debug, Clone)]
 struct Step {
     end: SimTime,
-    flows: [FlowCell; ModelFamily::COUNT],
+    flows: [Bucket; ModelFamily::COUNT],
     devices: Vec<DeviceSample>,
 }
 
@@ -159,17 +125,17 @@ pub struct WindowView {
     /// Actual time covered (shorter than the configured window early on).
     pub span: SimTime,
     /// Per-family flows over the window.
-    pub families: [FlowCell; ModelFamily::COUNT],
+    pub families: [Bucket; ModelFamily::COUNT],
     /// Per-device aggregates over the window.
     pub devices: Vec<DeviceWindow>,
 }
 
 impl WindowView {
     /// All families summed.
-    pub fn total(&self) -> FlowCell {
-        let mut out = FlowCell::default();
+    pub fn total(&self) -> Bucket {
+        let mut out = Bucket::default();
         for f in &self.families {
-            out.add(f);
+            out.merge(f);
         }
         out
     }
@@ -186,14 +152,14 @@ pub struct Registry {
     step: SimTime,
     window_steps: usize,
     /// Current (unsealed) step accumulation.
-    cur: [FlowCell; ModelFamily::COUNT],
+    cur: [Bucket; ModelFamily::COUNT],
     /// Sealed steps, oldest in front; capacity `window_steps`.
     ring: VecDeque<Step>,
     /// Device snapshot just *before* the oldest ring step (the delta
     /// baseline for cumulative per-device counters).
     baseline: Vec<DeviceSample>,
     /// Cumulative per-family flows since run start.
-    totals: [FlowCell; ModelFamily::COUNT],
+    totals: [Bucket; ModelFamily::COUNT],
     /// Cumulative wall nanoseconds per control-plane phase.
     phase_nanos: [u64; Phase::COUNT],
     /// Cumulative invocations per control-plane phase.
@@ -222,10 +188,10 @@ impl Registry {
         Registry {
             step,
             window_steps,
-            cur: [FlowCell::default(); ModelFamily::COUNT],
+            cur: [Bucket::default(); ModelFamily::COUNT],
             ring: VecDeque::with_capacity(window_steps),
             baseline: Vec::new(),
-            totals: [FlowCell::default(); ModelFamily::COUNT],
+            totals: [Bucket::default(); ModelFamily::COUNT],
             phase_nanos: [0; Phase::COUNT],
             phase_calls: [0; Phase::COUNT],
             reallocations: 0,
@@ -342,7 +308,7 @@ impl Registry {
         &mut self,
         now: SimTime,
         devices: &[DeviceSample],
-    ) -> [FlowCell; ModelFamily::COUNT] {
+    ) -> [Bucket; ModelFamily::COUNT] {
         let flows = std::mem::take(&mut self.cur);
         if self.ring.len() == self.window_steps {
             if let Some(old) = self.ring.pop_front() {
@@ -372,10 +338,10 @@ impl Registry {
         let span = newest
             .end
             .saturating_sub(oldest.end.saturating_sub(self.step));
-        let mut families = [FlowCell::default(); ModelFamily::COUNT];
+        let mut families = [Bucket::default(); ModelFamily::COUNT];
         for step in &self.ring {
             for (acc, cell) in families.iter_mut().zip(step.flows.iter()) {
-                acc.add(cell);
+                acc.merge(cell);
             }
         }
         let span_secs = span.as_secs_f64().max(1e-9);
@@ -409,7 +375,7 @@ impl Registry {
     }
 
     /// Cumulative per-family flows since run start.
-    pub fn totals(&self) -> &[FlowCell; ModelFamily::COUNT] {
+    pub fn totals(&self) -> &[Bucket; ModelFamily::COUNT] {
         &self.totals
     }
 

@@ -22,10 +22,11 @@
 use std::collections::BTreeMap;
 
 use proteus_metrics::MetricsCollector;
-use proteus_profiler::{Cluster, ModelZoo, Profile, ProfileStore, SloPolicy, VariantId};
+use proteus_profiler::{
+    Cluster, DeviceId, DeviceSpec, ModelZoo, Profile, ProfileStore, SloPolicy, VariantId,
+};
 use proteus_sim::{Actor, EventKey, FaultKind, FaultSchedule, SimTime, Simulation};
 use proteus_solver::SolveStats;
-use proteus_telemetry::burn::AlertTransition;
 use proteus_telemetry::registry::DeviceSample;
 use proteus_telemetry::{Phase, TelemetryRuntime};
 // Re-exported so downstream code can configure the telemetry plane and
@@ -537,26 +538,18 @@ impl ServingSystem {
             .provision_demand
             .unwrap_or_else(|| mean_demand(arrivals));
 
-        let cluster = self.config.cluster.clone();
-        let trace_on = trace.enabled();
-        let n = cluster.len();
+        let n = self.config.cluster.len();
         let mut engine = Engine {
             config: &self.config,
             store: &self.store,
             allocator: self.allocator.as_mut(),
             arrivals,
             horizon,
-            workers: cluster
-                .iter()
-                .map(|&spec| Worker::new(spec, self.batching.clone_box(), self.config.queue_cap))
-                .collect(),
-            profiles: vec![None; n],
-            lat_tables: vec![Vec::new(); n],
+            cluster: self.config.cluster.clone(),
+            devices: Vec::with_capacity(n),
             slo_by_family: FamilyMap::from_fn(|f| SimTime::from_millis_f64(self.store.slo_ms(f))),
-            routers: Router::from_plan(&AllocationPlan::empty(cluster.len())),
-            plan: AllocationPlan::empty(cluster.len()),
-            cluster,
-            metrics: MetricsCollector::new(SimTime::from_secs(1)),
+            routers: Router::from_plan(&AllocationPlan::empty(n)),
+            plan: AllocationPlan::empty(n),
             estimator: DemandEstimator::new(
                 SimTime::from_secs_f64(self.config.monitor_period_secs),
                 0.4,
@@ -576,15 +569,8 @@ impl ServingSystem {
             extra_ordered: 0,
             provisioned: 0,
             provision_realloc_at: None,
-            device_stats: vec![DeviceStats::default(); n],
-            inflight: std::iter::repeat_with(|| None).take(n).collect(),
-            slowdown: vec![1.0; n],
-            online_since: vec![Some(SimTime::ZERO); n],
             retries: BTreeMap::new(),
-            load_attempts: vec![0; n],
             down: Vec::new(),
-            trace,
-            trace_on,
             next_batch: 0,
             batch_pool: Vec::new(),
             scratch: Vec::new(),
@@ -598,32 +584,28 @@ impl ServingSystem {
             liveness_epoch: 0,
             plans_discarded: 0,
             replans_coalesced: 0,
-            staged_target: vec![None; n],
             plan_audits: 0,
             audit_violations: 0,
-            telemetry: self
-                .config
-                .telemetry
-                .clone()
-                .map(|cfg| Box::new(TelemetryRuntime::new(cfg))),
-            phase_sample_ctr: [0; Phase::COUNT],
+            obs: Observers {
+                metrics: MetricsCollector::new(SimTime::from_secs(1)),
+                trace_on: trace.enabled(),
+                trace,
+                telemetry: self
+                    .config
+                    .telemetry
+                    .clone()
+                    .map(|cfg| Box::new(TelemetryRuntime::new(cfg))),
+                phase_sample_ctr: [0; Phase::COUNT],
+            },
         };
+        for &spec in self.config.cluster.iter() {
+            engine.add_device(spec, SimTime::ZERO);
+        }
 
         let mut sim: Simulation<Event> = Simulation::new();
-        if engine.trace_on {
-            let specs: Vec<_> = engine.cluster.iter().copied().collect();
-            for spec in specs {
-                engine.emit(
-                    SimTime::ZERO,
-                    EventKind::WorkerOnline {
-                        device: spec.id,
-                        device_type: spec.device_type,
-                    },
-                );
-            }
-        }
         // Initial allocation: models are pre-loaded before the trace starts.
-        engine.initial_plan(&provision);
+        let initial = engine.run_allocator(SimTime::ZERO, ReplanCause::Initial, provision);
+        engine.commit_plan(initial, SimTime::ZERO, &mut sim);
         // Injected faults drive ordinary sim events; anything scheduled
         // past the horizon can no longer affect metrics and is skipped.
         for fault in &self.config.faults.events {
@@ -647,9 +629,12 @@ impl ServingSystem {
         sim.run(&mut engine);
 
         // Account anything still queued (nothing should be, since every
-        // policy eventually executes or drops, but stay safe).
-        engine.drain_leftovers();
-        engine.finalize_online();
+        // policy eventually executes or drops, but stay safe), and close
+        // every still-open online window.
+        for d in 0..engine.devices.len() {
+            engine.drop_queue(d, horizon, DropReason::Drained);
+            engine.devices[d].close_online(horizon);
+        }
 
         // End-of-run DES invariants (checked whenever auditing is on):
         // 1. event-time monotonicity — the kernel counts any regression;
@@ -660,7 +645,7 @@ impl ServingSystem {
             if sim.time_regressions() > 0 {
                 engine.audit_violations += sim.time_regressions() as u32;
             }
-            let summary = engine.metrics.summary();
+            let summary = engine.obs.metrics.summary();
             let accounted = summary.total_served + summary.total_dropped;
             if summary.total_arrived != arrivals.len() as u64 || accounted != summary.total_arrived
             {
@@ -677,16 +662,10 @@ impl ServingSystem {
             }
         }
 
-        // Close the telemetry plane: seal the tail, emit the last window,
-        // flush the exposition file, and carry the summary out.
-        let telemetry = engine.telemetry.take().map(|mut t| {
-            let devices = engine.device_samples();
-            t.finish(horizon, &devices)
-        });
-
-        engine.trace.flush();
+        let telemetry = engine.obs.finish(horizon, &engine.devices);
+        engine.obs.trace.flush();
         RunOutcome {
-            metrics: engine.metrics,
+            metrics: engine.obs.metrics,
             reallocations: engine.reallocations,
             burst_reallocations: engine.burst_reallocations,
             plans_discarded: engine.plans_discarded,
@@ -695,7 +674,7 @@ impl ServingSystem {
             solver_stats: engine.solver_stats,
             shrunk_plans: engine.shrunk_plans,
             provisioned_devices: engine.provisioned,
-            device_stats: engine.device_stats,
+            device_stats: engine.devices.iter().map(|d| d.stats).collect(),
             replan_log: engine.replan_log,
             final_plan: engine.plan,
             plan_audits: engine.plan_audits,
@@ -764,109 +743,88 @@ pub fn mean_demand(arrivals: &[QueryArrival]) -> FamilyMap<f64> {
     counts.scaled(1.0 / secs)
 }
 
-struct Engine<'a> {
-    config: &'a SystemConfig,
-    store: &'a ProfileStore,
-    allocator: &'a mut dyn Allocator,
-    arrivals: &'a [QueryArrival],
-    horizon: SimTime,
-    /// The (possibly growing, with the §7 tandem extension) cluster.
-    cluster: Cluster,
-    workers: Vec<Worker>,
-    /// Per-device profile of the loaded variant, refreshed whenever the
-    /// variant changes — the batching path reads this instead of hashing
+/// One worker device and everything the engine tracks about it. The
+/// engine keeps one record per device, indexed by device id; the §7
+/// tandem extension appends a record for every provisioned device.
+struct Device<'a> {
+    worker: Worker,
+    /// Profile of the loaded variant, refreshed whenever the variant
+    /// changes — the batching path reads this instead of hashing
     /// `(variant, device type)` into the store on every decision.
-    profiles: Vec<Option<&'a Profile>>,
-    /// Per-device precomputed latency table for integral batch costs,
-    /// rebuilt alongside [`profiles`](Self::profiles) — see
+    profile: Option<&'a Profile>,
+    /// Precomputed latency table for integral batch costs, rebuilt
+    /// alongside [`profile`](Self::profile) — see
     /// [`BatchContext::lat_table`](crate::batching::BatchContext::lat_table).
-    lat_tables: Vec<Vec<SimTime>>,
-    /// Per-family SLO spans, precomputed once so the arrival path does no
-    /// store lookup or float conversion per query.
-    slo_by_family: FamilyMap<SimTime>,
-    routers: Vec<Router>,
-    plan: AllocationPlan,
-    metrics: MetricsCollector,
-    estimator: DemandEstimator,
-    rng: StdRng,
-    last_realloc: SimTime,
-    /// The (pre-headroom) demand the current plan was built for, per
-    /// family — the burst detector's baseline.
-    planned_for: FamilyMap<f64>,
-    reallocations: u32,
-    burst_reallocations: u32,
-    allocator_wall_secs: f64,
-    solver_stats: SolveStats,
-    shrunk_plans: u32,
-    batching_proto: Box<dyn BatchPolicy>,
-    extra_ordered: u32,
-    provisioned: u32,
-    provision_realloc_at: Option<SimTime>,
-    device_stats: Vec<DeviceStats>,
-    /// Per-device shadow of the executing batch (crash salvage).
-    inflight: Vec<Option<InFlight>>,
-    /// Per-device straggler latency multiplier (1.0 = nominal).
-    slowdown: Vec<f64>,
-    /// When each device last came online; `None` while it is down.
+    lat_table: Vec<SimTime>,
+    /// Execution statistics, reported as [`RunOutcome::device_stats`].
+    stats: DeviceStats,
+    /// Shadow of the executing batch (crash salvage).
+    inflight: Option<InFlight>,
+    /// Straggler latency multiplier (1.0 = nominal).
+    slowdown: f64,
+    /// When the device last came online; `None` while it is down.
     /// Accumulated into [`DeviceStats::online`] on crash and at end of run.
-    online_since: Vec<Option<SimTime>>,
-    /// Per-query failure-retry counts (keyed by query id).
-    retries: BTreeMap<u64, u32>,
-    /// Consecutive failed load attempts per device.
-    load_attempts: Vec<u32>,
-    /// Devices currently down, sorted — the allocation context's mask.
-    down: Vec<proteus_profiler::DeviceId>,
-    /// RNG for fault draws (load failures), independent of execution noise.
-    fault_rng: StdRng,
+    online_since: Option<SimTime>,
+    /// Consecutive failed load attempts.
+    load_attempts: u32,
+    /// Staged variant: the worker keeps serving its current variant while
+    /// this one "loads in the background"; swapped in by
+    /// [`Event::StagedLoadDone`].
+    staged_target: Option<VariantId>,
+}
+
+impl<'a> Device<'a> {
+    /// Retargets the worker and refreshes its cached profile — the only
+    /// place a worker's variant may change, so the cache can never go
+    /// stale.
+    fn set_variant(&mut self, variant: Option<VariantId>, store: &'a ProfileStore) {
+        self.worker.set_variant(variant);
+        self.profile = variant.and_then(|v| store.profile(v, self.worker.spec().device_type));
+        // Tabulate batch latencies at every integral cost the policy can
+        // ask about: sums up to max_batch queries plus one estimated next
+        // arrival. Entry k is bit-identical to the arithmetic path's answer
+        // for a unit-cost batch totalling k.
+        self.lat_table = match self.profile {
+            Some(p) => (0..=p.max_batch() as usize + 1)
+                .map(|k| SimTime::from_millis_f64(p.latency_for_cost((k as f64).max(1e-9))))
+                .collect(),
+            None => Vec::new(),
+        };
+    }
+
+    /// Closes the open online window, if any, at `now`.
+    fn close_online(&mut self, now: SimTime) {
+        if let Some(since) = self.online_since.take() {
+            self.stats.online += now.saturating_sub(since);
+        }
+    }
+
+    /// Snapshot for the telemetry registry (cumulative busy/batch/query
+    /// counters; the registry differences them per window).
+    fn sample(&self) -> DeviceSample {
+        DeviceSample {
+            queue_depth: self.worker.queue_len() as u32,
+            up: self.worker.is_up(),
+            busy: self.stats.busy,
+            batches: self.stats.batches,
+            queries: self.stats.queries,
+        }
+    }
+}
+
+/// The engine's one observation fan-out: every arrival, serve and drop is
+/// reported here once and forwarded to the metrics collector, the
+/// telemetry plane and the trace sink.
+struct Observers<'a> {
+    metrics: MetricsCollector,
     /// Flight-recorder sink; [`NullSink`] when tracing is off.
     trace: &'a mut dyn TraceSink,
-    /// Cached `trace.enabled()` — instrumentation sites guard event
-    /// construction behind this one branch, so a disabled sink costs
-    /// nothing on the data path.
+    /// Cached `trace.enabled()`: [`emit`](Self::emit) builds no event when
+    /// it is off, so a disabled sink costs one untaken branch per site.
     trace_on: bool,
-    /// Run-unique batch id counter.
-    next_batch: u64,
-    /// Reuse pool of batch buffers: a completed batch's `Vec<Query>` is
-    /// cleared and parked here instead of freed, and the next batch takes
-    /// one back instead of allocating.
-    batch_pool: Vec<Vec<Query>>,
-    /// Scratch buffer for expired-query drops (reused across events).
-    scratch: Vec<Query>,
-    /// Batch buffers served from the pool / freshly allocated.
-    pool_reused: u64,
-    pool_alloc: u64,
-    replan_log: Vec<ReplanRecord>,
-    /// The solve currently in flight, if any (nonzero [`SolveLatency`]).
-    pending_solve: Option<PendingSolve>,
-    /// Freshest trigger that arrived while a solve was in flight; the
-    /// commit path starts one re-solve with refreshed demand for it.
-    queued_cause: Option<ReplanCause>,
-    /// Monotone id source for [`Event::SolveComplete`] matching.
-    next_solve_id: u64,
-    /// `(instant, liveness epoch)` of the most recent solve start: a
-    /// second trigger at the identical timestamp under the identical
-    /// liveness set coalesces instead of double-solving.
-    last_solve_key: Option<(SimTime, u64)>,
-    /// Bumped whenever the set of usable devices changes (crash, recovery,
-    /// provisioned device coming online), so same-instant coalescing never
-    /// suppresses a replan that sees a different cluster.
-    liveness_epoch: u64,
-    /// In-flight plans discarded before commit.
-    plans_discarded: u32,
-    /// Triggers folded into an already-pending solve or a same-instant
-    /// earlier one.
-    replans_coalesced: u32,
-    /// Per-device staged variant: the worker keeps serving its current
-    /// variant while this one "loads in the background"; swapped in by
-    /// [`Event::StagedLoadDone`].
-    staged_target: Vec<Option<VariantId>>,
-    /// Times the independent plan auditor ran.
-    plan_audits: u32,
-    /// Violations found by plan audits (accumulated into the outcome).
-    audit_violations: u32,
     /// The live telemetry plane; `None` (the default) costs one untaken
-    /// branch per hook site, like a disabled trace sink. Boxed so the
-    /// engine does not carry the registry's footprint inline.
+    /// branch per hook, like a disabled trace sink. Boxed so the engine
+    /// does not carry the registry's footprint inline.
     telemetry: Option<Box<TelemetryRuntime>>,
     /// Per-phase invocation counters driving sampled self-profiling
     /// (see [`phase_start`](Self::phase_start)). Untouched when
@@ -874,9 +832,67 @@ struct Engine<'a> {
     phase_sample_ctr: [u32; Phase::COUNT],
 }
 
-impl Engine<'_> {
-    fn emit(&mut self, at: SimTime, kind: EventKind) {
-        self.trace.record(&TraceEvent { at, kind });
+impl Observers<'_> {
+    /// Records the trace event `kind` builds; `kind` runs only when
+    /// tracing is on.
+    #[inline]
+    fn emit(&mut self, at: SimTime, kind: impl FnOnce() -> EventKind) {
+        if self.trace_on {
+            self.trace.record(&TraceEvent { at, kind: kind() });
+        }
+    }
+
+    /// Records an arrival.
+    fn arrived(&mut self, now: SimTime, q: &Query) {
+        self.metrics.record_arrival(now, q.family);
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.on_arrival(q.family);
+        }
+        self.emit(now, || EventKind::Arrived {
+            query: q.id.0,
+            family: q.family,
+        });
+    }
+
+    /// Records a served query under plan `epoch`; returns whether it met
+    /// its deadline.
+    fn served(&mut self, now: SimTime, q: &Query, accuracy: f64, epoch: u64) -> bool {
+        let on_time = now <= q.deadline;
+        let latency = now.saturating_sub(q.arrived);
+        self.metrics
+            .record_served_latency(now, q.family, accuracy, on_time, latency);
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.on_served(q.id.0, q.family, accuracy, on_time, latency);
+        }
+        self.emit(now, || {
+            let query = q.id.0;
+            if on_time {
+                EventKind::ServedOnTime {
+                    query,
+                    latency,
+                    epoch,
+                }
+            } else {
+                EventKind::ServedLate {
+                    query,
+                    latency,
+                    epoch,
+                }
+            }
+        });
+        on_time
+    }
+
+    /// Records a dropped query.
+    fn dropped(&mut self, now: SimTime, q: &Query, reason: DropReason) {
+        self.metrics.record_dropped(now, q.family);
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.on_dropped(q.family);
+        }
+        self.emit(now, || EventKind::Dropped {
+            query: q.id.0,
+            reason,
+        });
     }
 
     /// Starts a control-plane self-profiling timer — `None` (free) when
@@ -914,141 +930,161 @@ impl Engine<'_> {
         }
     }
 
-    /// Snapshots every device for the telemetry registry (cumulative
-    /// busy/batch/query counters; the registry differences them per window).
-    fn device_samples(&self) -> Vec<DeviceSample> {
-        self.workers
-            .iter()
-            .zip(&self.device_stats)
-            .map(|(w, s)| DeviceSample {
-                queue_depth: w.queue_len() as u32,
-                up: w.is_up(),
-                busy: s.busy,
-                batches: s.batches,
-                queries: s.queries,
-            })
-            .collect()
-    }
-
-    /// Surfaces burn-rate alert transitions as first-class trace events.
-    fn emit_alerts(&mut self, transitions: &[AlertTransition]) {
-        if !self.trace_on {
+    /// Drives the telemetry plane on the monitoring cadence: the registry
+    /// seals a step, the burn engine scans it, and any alert transitions
+    /// become first-class trace events.
+    fn tick(&mut self, now: SimTime, devices: &[Device<'_>]) {
+        let Some(t) = self.telemetry.as_deref_mut() else {
             return;
-        }
-        for tr in transitions {
-            let kind = if tr.fired {
-                EventKind::AlertFired {
-                    scope: tr.scope,
-                    severity: tr.severity,
-                    burn: tr.burn,
-                    long_secs: tr.long_secs,
-                    short_secs: tr.short_secs,
-                }
-            } else {
-                EventKind::AlertResolved {
-                    scope: tr.scope,
-                    severity: tr.severity,
-                    burn: tr.burn,
-                    long_secs: tr.long_secs,
-                    short_secs: tr.short_secs,
-                }
-            };
-            self.emit(tr.at, kind);
-        }
-    }
-
-    /// Records a drop in both the metrics and the trace.
-    fn drop_query(&mut self, now: SimTime, q: &Query, reason: DropReason) {
-        self.metrics.record_dropped(now, q.family);
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.on_dropped(q.family);
-        }
-        if self.trace_on {
-            self.emit(
-                now,
-                EventKind::Dropped {
-                    query: q.id.0,
-                    reason,
-                },
-            );
-        }
-    }
-
-    /// End-of-run accounting for queries still sitting in worker queues.
-    fn drain_leftovers(&mut self) {
-        let horizon = self.horizon;
-        for d in 0..self.workers.len() {
-            for q in self.workers[d].drain_queue() {
-                self.drop_query(horizon, &q, DropReason::Drained);
-            }
-        }
-    }
-    fn initial_plan(&mut self, provision: &FamilyMap<f64>) {
-        if self.trace_on {
-            self.emit(
-                SimTime::ZERO,
-                EventKind::ReplanTriggered {
-                    cause: ReplanCause::Initial,
-                },
-            );
-        }
-        let ctx = AllocContext {
-            cluster: &self.cluster,
-            zoo: &self.config.zoo,
-            store: self.store,
-            down: &self.down,
         };
-        let demand = provision.scaled(self.config.demand_headroom);
-        self.planned_for = *provision;
-        // The initial allocation is synchronous regardless of the solve
-        // latency model: it happens before the trace starts, with models
-        // pre-loaded. It still claims the solve key so a same-instant
-        // trigger at t = 0 coalesces.
-        self.last_solve_key = Some((SimTime::ZERO, self.liveness_epoch));
-        // lint:allow(wall-clock) — measures real solver wall time for
-        // SolveStats reporting; the result never feeds sim logic.
-        let start = std::time::Instant::now();
-        let plan = self.allocator.allocate(&ctx, &demand, None, SimTime::ZERO);
-        let wall_secs = start.elapsed().as_secs_f64();
-        self.allocator_wall_secs += wall_secs;
-        if let Some(stats) = self.allocator.last_solve_stats() {
-            self.solver_stats += stats;
-            if self.trace_on {
-                self.emit_solve_stats(SimTime::ZERO, &stats);
-            }
+        let samples: Vec<_> = devices.iter().map(Device::sample).collect();
+        for tr in t.tick(now, &samples) {
+            self.emit(tr.at, || {
+                if tr.fired {
+                    EventKind::AlertFired {
+                        scope: tr.scope,
+                        severity: tr.severity,
+                        burn: tr.burn,
+                        long_secs: tr.long_secs,
+                        short_secs: tr.short_secs,
+                    }
+                } else {
+                    EventKind::AlertResolved {
+                        scope: tr.scope,
+                        severity: tr.severity,
+                        burn: tr.burn,
+                        long_secs: tr.long_secs,
+                        short_secs: tr.short_secs,
+                    }
+                }
+            });
         }
-        self.reallocations += 1;
-        if plan.shrink() > 1.0 {
-            self.shrunk_plans += 1;
-        }
-        // Pre-loaded: apply without load delays.
-        let mut changed = 0u32;
-        for i in 0..self.workers.len() {
-            let assignment = plan.assignment(proteus_profiler::DeviceId(i as u32));
-            if assignment.is_some() {
-                changed += 1;
-            }
-            self.set_worker_variant(i, assignment);
-            self.workers[i].set_state(WorkerState::Idle);
-        }
-        self.routers = Router::from_plan(&plan);
-        let shrink = plan.shrink();
-        self.plan = plan;
-        self.replan_log.push(ReplanRecord {
-            at: SimTime::ZERO,
-            committed_at: SimTime::ZERO,
-            cause: ReplanCause::Initial,
-            wall_secs,
-            solve_secs: 0.0,
-            changed,
-            shrink,
-            observed: *provision,
-            target: demand,
+    }
+
+    /// Closes the telemetry plane: seals the tail, emits the last window,
+    /// flushes the exposition file, and returns the summary.
+    fn finish(&mut self, now: SimTime, devices: &[Device<'_>]) -> Option<TelemetrySummary> {
+        let mut t = self.telemetry.take()?;
+        let samples: Vec<_> = devices.iter().map(Device::sample).collect();
+        Some(t.finish(now, &samples))
+    }
+}
+
+/// Where a query being placed on a worker comes from.
+#[derive(Clone, Copy)]
+enum Placement {
+    /// A fresh arrival; only these routes are self-profiled as
+    /// [`Phase::Route`].
+    Arrival,
+    /// Displaced by a plan that changed its device's family.
+    Displaced,
+    /// Salvaged from crashed device `from`, on retry `attempt`.
+    Retry { from: DeviceId, attempt: u32 },
+}
+
+struct Engine<'a> {
+    config: &'a SystemConfig,
+    store: &'a ProfileStore,
+    allocator: &'a mut dyn Allocator,
+    arrivals: &'a [QueryArrival],
+    horizon: SimTime,
+    /// The (possibly growing, with the §7 tandem extension) cluster.
+    cluster: Cluster,
+    /// One record per device, indexed by device id.
+    devices: Vec<Device<'a>>,
+    /// Per-family SLO spans, precomputed once so the arrival path does no
+    /// store lookup or float conversion per query.
+    slo_by_family: FamilyMap<SimTime>,
+    routers: Vec<Router>,
+    plan: AllocationPlan,
+    estimator: DemandEstimator,
+    rng: StdRng,
+    last_realloc: SimTime,
+    /// The (pre-headroom) demand the current plan was built for, per
+    /// family — the burst detector's baseline.
+    planned_for: FamilyMap<f64>,
+    reallocations: u32,
+    burst_reallocations: u32,
+    allocator_wall_secs: f64,
+    solver_stats: SolveStats,
+    shrunk_plans: u32,
+    batching_proto: Box<dyn BatchPolicy>,
+    extra_ordered: u32,
+    provisioned: u32,
+    provision_realloc_at: Option<SimTime>,
+    /// Per-query failure-retry counts (keyed by query id).
+    retries: BTreeMap<u64, u32>,
+    /// Devices currently down, sorted — the allocation context's mask.
+    down: Vec<DeviceId>,
+    /// RNG for fault draws (load failures), independent of execution noise.
+    fault_rng: StdRng,
+    /// Run-unique batch id counter.
+    next_batch: u64,
+    /// Reuse pool of batch buffers: a completed batch's `Vec<Query>` is
+    /// cleared and parked here instead of freed, and the next batch takes
+    /// one back instead of allocating.
+    batch_pool: Vec<Vec<Query>>,
+    /// Scratch buffer for expired-query drops (reused across events).
+    scratch: Vec<Query>,
+    /// Batch buffers served from the pool / freshly allocated.
+    pool_reused: u64,
+    pool_alloc: u64,
+    replan_log: Vec<ReplanRecord>,
+    /// The solve currently in flight, if any (nonzero [`SolveLatency`]).
+    pending_solve: Option<PendingSolve>,
+    /// Freshest trigger that arrived while a solve was in flight; the
+    /// commit path starts one re-solve with refreshed demand for it.
+    queued_cause: Option<ReplanCause>,
+    /// Monotone id source for [`Event::SolveComplete`] matching.
+    next_solve_id: u64,
+    /// `(instant, liveness epoch)` of the most recent solve start: a
+    /// second trigger at the identical timestamp under the identical
+    /// liveness set coalesces instead of double-solving.
+    last_solve_key: Option<(SimTime, u64)>,
+    /// Bumped whenever the set of usable devices changes (crash, recovery,
+    /// provisioned device coming online), so same-instant coalescing never
+    /// suppresses a replan that sees a different cluster.
+    liveness_epoch: u64,
+    /// In-flight plans discarded before commit.
+    plans_discarded: u32,
+    /// Triggers folded into an already-pending solve or a same-instant
+    /// earlier one.
+    replans_coalesced: u32,
+    /// Times the independent plan auditor ran.
+    plan_audits: u32,
+    /// Violations found by plan audits (accumulated into the outcome).
+    audit_violations: u32,
+    /// Metrics, trace and telemetry.
+    obs: Observers<'a>,
+}
+
+impl Engine<'_> {
+    /// Brings a device online with an empty worker: the initial cluster and
+    /// every provisioned device are built here.
+    fn add_device(&mut self, spec: DeviceSpec, now: SimTime) {
+        let policy = self.batching_proto.clone_box();
+        self.devices.push(Device {
+            worker: Worker::new(spec, policy, self.config.queue_cap),
+            profile: None,
+            lat_table: Vec::new(),
+            stats: DeviceStats::default(),
+            inflight: None,
+            slowdown: 1.0,
+            online_since: Some(now),
+            load_attempts: 0,
+            staged_target: None,
         });
-        if self.trace_on {
-            self.emit(SimTime::ZERO, EventKind::PlanApplied { changed, shrink });
+        self.obs.emit(now, || EventKind::WorkerOnline {
+            device: spec.id,
+            device_type: spec.device_type,
+        });
+    }
+
+    /// Drains `device`'s queue, dropping every query for `reason`.
+    fn drop_queue(&mut self, device: usize, now: SimTime, reason: DropReason) {
+        for q in self.devices[device].worker.drain_queue() {
+            self.obs.dropped(now, &q, reason);
         }
-        self.audit_applied_plan(SimTime::ZERO, &demand);
     }
 
     /// Runs the independent plan auditor against the plan just applied.
@@ -1073,29 +1109,12 @@ impl Engine<'_> {
         let report = crate::allocation::audit::audit_plan(&ctx, demand, &self.plan);
         self.plan_audits += 1;
         self.audit_violations += report.violations.len() as u32;
-        if self.trace_on {
-            self.emit(
-                now,
-                EventKind::AuditReport {
-                    violations: report.violations.len() as u32,
-                    devices_checked: report.devices_checked as u32,
-                    families_checked: report.families_checked as u32,
-                },
-            );
-        }
+        self.obs.emit(now, || EventKind::AuditReport {
+            violations: report.violations.len() as u32,
+            devices_checked: report.devices_checked as u32,
+            families_checked: report.families_checked as u32,
+        });
         debug_assert!(report.is_clean(), "plan audit failed at {now}: {report}");
-    }
-
-    fn emit_solve_stats(&mut self, at: SimTime, stats: &SolveStats) {
-        self.emit(
-            at,
-            EventKind::SolveStats {
-                nodes: stats.nodes,
-                pivots: stats.simplex_iterations,
-                warm_starts: stats.warm_starts,
-                wall_nanos: stats.wall.as_nanos() as u64,
-            },
-        );
     }
 
     /// Whether `device` can hold both variants' weights at once — the
@@ -1107,7 +1126,7 @@ impl Engine<'_> {
                 .variant(v)
                 .map_or(f64::INFINITY, |s| s.memory_mib())
         };
-        mem(old) + mem(new) <= self.workers[device].spec().device_type.memory_mib()
+        mem(old) + mem(new) <= self.devices[device].worker.spec().device_type.memory_mib()
     }
 
     fn load_delay(&mut self, variant: Option<VariantId>) -> SimTime {
@@ -1140,30 +1159,9 @@ impl Engine<'_> {
     }
 
     fn cancel_timer(&mut self, device: usize, sim: &mut Simulation<Event>) {
-        if let Some(key) = self.workers[device].timer.take() {
+        if let Some(key) = self.devices[device].worker.timer.take() {
             sim.cancel(key);
         }
-    }
-
-    /// Retargets a worker and refreshes its cached profile pointer — the
-    /// only place a worker's variant may change, so the cache can never go
-    /// stale.
-    fn set_worker_variant(&mut self, device: usize, variant: Option<VariantId>) {
-        self.workers[device].set_variant(variant);
-        self.profiles[device] = variant.and_then(|v| {
-            self.store
-                .profile(v, self.workers[device].spec().device_type)
-        });
-        // Tabulate batch latencies at every integral cost the policy can
-        // ask about: sums up to max_batch queries plus one estimated next
-        // arrival. Entry k is bit-identical to the arithmetic path's answer
-        // for a unit-cost batch totalling k.
-        self.lat_tables[device] = match self.profiles[device] {
-            Some(p) => (0..=p.max_batch() as usize + 1)
-                .map(|k| SimTime::from_millis_f64(p.latency_for_cost((k as f64).max(1e-9))))
-                .collect(),
-            None => Vec::new(),
-        };
     }
 
     /// Takes a batch buffer from the reuse pool (or allocates one).
@@ -1183,43 +1181,31 @@ impl Engine<'_> {
     /// Re-evaluates batching on an idle worker.
     fn poke(&mut self, device: usize, now: SimTime, sim: &mut Simulation<Event>) {
         loop {
-            let worker = &mut self.workers[device];
+            let dev = &self.devices[device];
             // A down device executes nothing; its queue was salvaged at
             // crash time and stays empty until recovery.
-            if !worker.is_up() {
+            if !dev.worker.is_up() || !dev.worker.is_idle() {
                 return;
             }
-            if !worker.is_idle() {
-                return;
-            }
-            if worker.queue_len() == 0 {
+            if dev.worker.queue_len() == 0 {
                 self.cancel_timer(device, sim);
                 return;
             }
-            let Some(variant) = worker.variant() else {
+            // The profile cache is refreshed at every retarget and
+            // ProfileStore::build profiles every (variant, device type)
+            // pair, so only a device hosting no model misses here; a miss
+            // with a hosted variant would be a construction bug and takes
+            // the same typed drop path instead of panicking.
+            let (Some(variant), Some(profile)) = (dev.worker.variant(), dev.profile) else {
                 // No model hosted: nothing can serve these queries here.
-                let orphans = self.workers[device].drain_queue();
                 self.cancel_timer(device, sim);
-                for q in orphans {
-                    self.drop_query(now, &q, DropReason::NoHost);
-                }
+                self.drop_queue(device, now, DropReason::NoHost);
                 return;
             };
-            // The cache is refreshed by set_worker_variant at every retarget
-            // and ProfileStore::build profiles every (variant, device type)
-            // pair, so a miss with a hosted variant is a construction bug;
-            // degrade to the typed NoHost drop path instead of panicking.
-            let Some(profile) = self.profiles[device] else {
-                let orphans = self.workers[device].drain_queue();
-                self.cancel_timer(device, sim);
-                for q in orphans {
-                    self.drop_query(now, &q, DropReason::NoHost);
-                }
-                return;
-            };
-            let decide_t0 = self.phase_start(Phase::BatchDecide);
-            let decision = self.workers[device].decide(now, profile, &self.lat_tables[device]);
-            self.phase_end(Phase::BatchDecide, decide_t0);
+            let decide_t0 = self.obs.phase_start(Phase::BatchDecide);
+            let dev = &mut self.devices[device];
+            let decision = dev.worker.decide(now, profile, &dev.lat_table);
+            self.obs.phase_end(Phase::BatchDecide, decide_t0);
             match decision {
                 BatchDecision::Idle => {
                     self.cancel_timer(device, sim);
@@ -1229,48 +1215,43 @@ impl Engine<'_> {
                     // Reuse one scratch buffer for the whole run instead of
                     // allocating a fresh Vec per expiry sweep.
                     let mut scratch = std::mem::take(&mut self.scratch);
-                    self.workers[device].take_front_into(n, &mut scratch);
+                    self.devices[device].worker.take_front_into(n, &mut scratch);
                     for q in scratch.drain(..) {
-                        self.drop_query(now, &q, DropReason::Expired);
+                        self.obs.dropped(now, &q, DropReason::Expired);
                     }
                     self.scratch = scratch;
                 }
                 BatchDecision::Execute(k) => {
-                    let k = k.max(1).min(self.workers[device].queue_len() as u32);
                     let mut batch = self.take_buffer();
-                    self.workers[device].take_front_into(k as usize, &mut batch);
+                    let dev = &mut self.devices[device];
+                    let k = k.max(1).min(dev.worker.queue_len() as u32);
+                    dev.worker.take_front_into(k as usize, &mut batch);
                     let total_cost: f64 = batch.iter().map(|q| q.cost).sum();
                     // A straggler window stretches execution latency.
-                    let nominal = profile.latency_for_cost(total_cost) * self.slowdown[device];
+                    let nominal = profile.latency_for_cost(total_cost) * dev.slowdown;
                     let until = now + self.noisy_latency(nominal);
-                    let stats = &mut self.device_stats[device];
+                    let stats = &mut self.devices[device].stats;
                     stats.busy += until - now;
                     stats.batches += 1;
                     stats.queries += batch.len() as u64;
                     let batch_id = self.next_batch;
                     self.next_batch += 1;
-                    if self.trace_on {
-                        let device_id = proteus_profiler::DeviceId(device as u32);
-                        self.emit(
-                            now,
-                            EventKind::BatchFormed {
-                                device: device_id,
-                                batch: batch_id,
-                                queries: batch.iter().map(|q| q.id.0).collect(),
-                            },
-                        );
-                        self.emit(
-                            now,
-                            EventKind::ExecStarted {
-                                device: device_id,
-                                batch: batch_id,
-                                variant,
-                                size: batch.len() as u32,
-                                until,
-                            },
-                        );
-                    }
-                    self.workers[device].set_state(WorkerState::Busy(until));
+                    let device_id = DeviceId(device as u32);
+                    self.obs.emit(now, || EventKind::BatchFormed {
+                        device: device_id,
+                        batch: batch_id,
+                        queries: batch.iter().map(|q| q.id.0).collect(),
+                    });
+                    self.obs.emit(now, || EventKind::ExecStarted {
+                        device: device_id,
+                        batch: batch_id,
+                        variant,
+                        size: batch.len() as u32,
+                        until,
+                    });
+                    self.devices[device]
+                        .worker
+                        .set_state(WorkerState::Busy(until));
                     self.cancel_timer(device, sim);
                     let key = sim.schedule(
                         until,
@@ -1281,7 +1262,7 @@ impl Engine<'_> {
                         },
                     );
                     // Shadow the batch so a crash can salvage it.
-                    self.inflight[device] = Some(InFlight {
+                    self.devices[device].inflight = Some(InFlight {
                         key,
                         batch: batch_id,
                         started: now,
@@ -1294,7 +1275,7 @@ impl Engine<'_> {
                     // Guard against a policy returning a non-future time.
                     let t = t.max(now + SimTime::from_nanos(1));
                     self.cancel_timer(device, sim);
-                    self.workers[device].timer =
+                    self.devices[device].worker.timer =
                         Some(sim.schedule(t, Event::WorkerTimer(device as u32)));
                     return;
                 }
@@ -1302,8 +1283,17 @@ impl Engine<'_> {
         }
     }
 
+    /// Pokes every device in `devices` once, in id order.
+    fn poke_all(&mut self, mut devices: Vec<usize>, now: SimTime, sim: &mut Simulation<Event>) {
+        devices.sort_unstable();
+        devices.dedup();
+        for d in devices {
+            self.poke(d, now, sim);
+        }
+    }
+
     fn start_load(&mut self, device: usize, now: SimTime, sim: &mut Simulation<Event>) {
-        let variant = self.workers[device].variant();
+        let variant = self.devices[device].worker.variant();
         let delay = self.load_delay(variant);
         self.start_load_with_delay(device, now, delay, sim);
     }
@@ -1318,30 +1308,25 @@ impl Engine<'_> {
         delay: SimTime,
         sim: &mut Simulation<Event>,
     ) {
-        if !self.workers[device].is_up() {
+        if !self.devices[device].worker.is_up() {
             return;
         }
-        let variant = self.workers[device].variant();
         self.cancel_timer(device, sim);
-        let worker = &mut self.workers[device];
+        let worker = &mut self.devices[device].worker;
         if delay == SimTime::ZERO {
             worker.set_state(WorkerState::Idle);
             self.poke(device, now, sim);
             return;
         }
+        let variant = worker.variant();
         worker.load_generation += 1;
         let generation = worker.load_generation;
         worker.set_state(WorkerState::Loading(now + delay));
-        if self.trace_on {
-            self.emit(
-                now,
-                EventKind::ModelLoadStarted {
-                    device: proteus_profiler::DeviceId(device as u32),
-                    variant,
-                    until: now + delay,
-                },
-            );
-        }
+        self.obs.emit(now, || EventKind::ModelLoadStarted {
+            device: DeviceId(device as u32),
+            variant,
+            until: now + delay,
+        });
         sim.schedule(
             now + delay,
             Event::LoadDone {
@@ -1362,31 +1347,29 @@ impl Engine<'_> {
         let mut displaced: Vec<Query> = Vec::new();
         let mut to_load: Vec<usize> = Vec::new();
         let mut changed = 0u32;
-        for i in 0..self.workers.len() {
-            // A plan computed just before an elastic device came online may
-            // be narrower than the worker set; extra workers keep their
-            // assignment until the next re-allocation covers them.
-            if i >= plan.num_devices() {
-                continue;
-            }
+        // A plan computed just before an elastic device came online may be
+        // narrower than the worker set; extra workers keep their assignment
+        // until the next re-allocation covers them.
+        for i in 0..self.devices.len().min(plan.num_devices()) {
+            let dev = &mut self.devices[i];
             // Down devices are outside the plan's reach (the solver's device
             // mask placed nothing on them); whatever a scripted allocator
             // says, a dead worker can neither load nor serve.
-            if !self.workers[i].is_up() {
+            if !dev.worker.is_up() {
                 continue;
             }
-            let new = plan.assignment(proteus_profiler::DeviceId(i as u32));
-            let old = self.workers[i].variant();
+            let new = plan.assignment(DeviceId(i as u32));
+            let old = dev.worker.variant();
             // A still-pending staged swap from an older plan: the new plan
             // either confirms it (the background load just continues) or
             // overrides it (cancel; the device keeps serving `old` and the
             // retarget logic below decides what happens next).
-            if let Some(staged) = self.staged_target[i] {
+            if let Some(staged) = dev.staged_target {
                 if new == Some(staged) {
                     continue;
                 }
-                self.staged_target[i] = None;
-                self.workers[i].load_generation += 1;
+                dev.staged_target = None;
+                dev.worker.load_generation += 1;
             }
             if new == old {
                 continue;
@@ -1406,16 +1389,16 @@ impl Engine<'_> {
             if self.config.solve_latency != SolveLatency::Zero {
                 if let (Some(o), Some(n)) = (old, new) {
                     if o.family == n.family
-                        && !matches!(self.workers[i].state(), WorkerState::Loading(_))
+                        && !matches!(dev.worker.state(), WorkerState::Loading(_))
                         && self.staged_swap_fits(i, o, n)
                     {
                         let delay = self.load_delay(new);
-                        let worker = &mut self.workers[i];
-                        worker.pending_load = None;
-                        worker.load_generation += 1;
-                        let generation = worker.load_generation;
-                        self.staged_target[i] = Some(n);
-                        self.load_attempts[i] = 0;
+                        let dev = &mut self.devices[i];
+                        dev.worker.pending_load = None;
+                        dev.worker.load_generation += 1;
+                        let generation = dev.worker.load_generation;
+                        dev.staged_target = Some(n);
+                        dev.load_attempts = 0;
                         sim.schedule(
                             now + delay,
                             Event::StagedLoadDone {
@@ -1427,21 +1410,21 @@ impl Engine<'_> {
                     }
                 }
             }
+            let dev = &mut self.devices[i];
             if family_changed {
-                displaced.extend(self.workers[i].drain_queue());
+                displaced.extend(dev.worker.drain_queue());
             }
-            self.set_worker_variant(i, new);
-            self.load_attempts[i] = 0;
-            match self.workers[i].state() {
-                WorkerState::Busy(_) => {
-                    // Swap after the in-flight batch completes; the real
-                    // weight-transfer delay for the *new* variant is
-                    // computed now and charged at batch completion (a
-                    // zero-marker here would make the swap free).
-                    let delay = self.load_delay(new);
-                    self.workers[i].pending_load = Some(delay);
-                }
-                _ => to_load.push(i),
+            dev.set_variant(new, self.store);
+            dev.load_attempts = 0;
+            if let WorkerState::Busy(_) = dev.worker.state() {
+                // Swap after the in-flight batch completes; the real
+                // weight-transfer delay for the *new* variant is
+                // computed now and charged at batch completion (a
+                // zero-marker here would make the swap free).
+                let delay = self.load_delay(new);
+                self.devices[i].worker.pending_load = Some(delay);
+            } else {
+                to_load.push(i);
             }
         }
         self.routers = Router::from_plan(&plan);
@@ -1450,46 +1433,67 @@ impl Engine<'_> {
             self.start_load(i, now, sim);
         }
         // Re-route displaced queries through the new routers.
-        let mut touched = Vec::new();
-        for q in displaced {
-            let qid = q.id.0;
-            match self.route(q.family) {
-                // A scripted plan may still route to a dead device.
-                Some(d) if !self.workers[d].is_up() => {
-                    self.drop_query(now, &q, DropReason::DeviceFailed)
-                }
-                Some(d) => match self.workers[d].enqueue(q) {
-                    Ok(()) => {
-                        if self.trace_on {
-                            let device = proteus_profiler::DeviceId(d as u32);
-                            self.emit(now, EventKind::Routed { query: qid, device });
-                            self.emit(
-                                now,
-                                EventKind::Enqueued {
-                                    query: qid,
-                                    device,
-                                    depth: self.workers[d].queue_len() as u32,
-                                    behind: self.inflight[d].as_ref().map(|f| f.batch),
-                                },
-                            );
-                        }
-                        touched.push(d);
-                    }
-                    Err(q) => self.drop_query(now, &q, DropReason::QueueFull),
-                },
-                None => self.drop_query(now, &q, DropReason::NoHost),
-            }
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        for d in touched {
-            self.poke(d, now, sim);
-        }
+        let touched = displaced
+            .into_iter()
+            .filter_map(|q| self.place(now, q, Placement::Displaced))
+            .collect();
+        self.poke_all(touched, now, sim);
         changed
     }
 
     fn route(&mut self, family: proteus_profiler::ModelFamily) -> Option<usize> {
         self.routers[family.index()].route().map(|d| d.0 as usize)
+    }
+
+    /// Routes `q` to a worker of its family and enqueues it there,
+    /// returning the device on success; a query that cannot be placed is
+    /// dropped. A [`Placement::Retry`] is reported as retried right before
+    /// its new placement, and dies with its device if no live host exists.
+    fn place(&mut self, now: SimTime, q: Query, from: Placement) -> Option<usize> {
+        let routed = if let Placement::Arrival = from {
+            let route_t0 = self.obs.phase_start(Phase::Route);
+            let routed = self.route(q.family);
+            self.obs.phase_end(Phase::Route, route_t0);
+            routed
+        } else {
+            self.route(q.family)
+        };
+        let Some(d) = routed else {
+            let reason = match from {
+                Placement::Retry { .. } => DropReason::DeviceFailed,
+                _ => DropReason::NoHost,
+            };
+            self.obs.dropped(now, &q, reason);
+            return None;
+        };
+        // Scripted allocators may keep a dead device in their routing
+        // tables; the solver path never does.
+        if !self.devices[d].worker.is_up() {
+            self.obs.dropped(now, &q, DropReason::DeviceFailed);
+            return None;
+        }
+        let query = q.id.0;
+        if let Err(q) = self.devices[d].worker.enqueue(q) {
+            self.obs.dropped(now, &q, DropReason::QueueFull);
+            return None;
+        }
+        if let Placement::Retry { from, attempt } = from {
+            self.obs.emit(now, || EventKind::QueryRetried {
+                query,
+                from,
+                attempt,
+            });
+        }
+        let device = DeviceId(d as u32);
+        let dev = &self.devices[d];
+        self.obs.emit(now, || EventKind::Routed { query, device });
+        self.obs.emit(now, || EventKind::Enqueued {
+            query,
+            device,
+            depth: dev.worker.queue_len() as u32,
+            behind: dev.inflight.as_ref().map(|f| f.batch),
+        });
+        Some(d)
     }
 
     /// A replan trigger. Coalesces with a same-instant earlier trigger or
@@ -1505,9 +1509,7 @@ impl Engine<'_> {
         // Mid-solve trigger: fold into one pending re-solve. The commit
         // path starts it with demand refreshed at commit time.
         if self.pending_solve.is_some() {
-            if self.trace_on {
-                self.emit(now, EventKind::ReplanTriggered { cause });
-            }
+            self.obs.emit(now, || EventKind::ReplanTriggered { cause });
             self.queued_cause = Some(cause);
             self.replans_coalesced += 1;
             return;
@@ -1524,7 +1526,6 @@ impl Engine<'_> {
     /// `SolveComplete` event scheduled here is sim-visible, so no
     /// nondeterministic value may flow into it.
     fn begin_solve(&mut self, now: SimTime, cause: ReplanCause, sim: &mut Simulation<Event>) {
-        self.last_solve_key = Some((now, self.liveness_epoch));
         // Critical-path allocators (INFaaS) react to the raw last-second
         // rate — they decide per query, with no monitoring-daemon smoothing;
         // the decoupled controller plans on smoothed statistics.
@@ -1533,58 +1534,16 @@ impl Engine<'_> {
         } else {
             self.estimator.for_planning()
         };
-        let demand = observed.scaled(self.config.demand_headroom);
-        if self.trace_on {
-            self.emit(now, EventKind::ReplanTriggered { cause });
-        }
-        let ctx = AllocContext {
-            cluster: &self.cluster,
-            zoo: &self.config.zoo,
-            store: self.store,
-            down: &self.down,
-        };
-        // lint:allow(wall-clock) — measures real solver wall time for
-        // SolveStats reporting; the result never feeds sim logic (the
-        // modeled solve window below is built from search counters).
-        let start = std::time::Instant::now();
-        let plan = self
-            .allocator
-            .allocate(&ctx, &demand, Some(&self.plan), now);
-        let wall_secs = start.elapsed().as_secs_f64();
-        self.allocator_wall_secs += wall_secs;
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.on_phase(Phase::Solve, (wall_secs * 1e9) as u64);
-            t.on_reallocation();
-        }
+        let pending = self.run_allocator(now, cause, observed);
         let stats = self.allocator.last_solve_stats();
-        if let Some(stats) = stats {
-            self.solver_stats += stats;
-            if self.trace_on {
-                self.emit_solve_stats(now, &stats);
-            }
-        }
-        // The burst cooldown anchors at the trigger: while the control
-        // plane is (or was just) working on a plan, a burst must not pile
-        // a second solve on top.
-        self.last_realloc = now;
-        let pending = PendingSolve {
-            id: self.next_solve_id + 1,
-            started: now,
-            cause,
-            plan,
-            demand,
-            observed,
-            wall_secs,
-        };
         match self.config.solve_latency.delay(stats.as_ref()) {
             None => self.commit_plan(pending, now, sim),
             Some(delta) => {
                 self.next_solve_id += 1;
                 let until = now + delta;
-                if self.trace_on {
-                    self.emit(now, EventKind::SolveStarted { cause, until });
-                }
-                if let Some(t) = self.telemetry.as_deref_mut() {
+                self.obs
+                    .emit(now, || EventKind::SolveStarted { cause, until });
+                if let Some(t) = self.obs.telemetry.as_deref_mut() {
                     t.on_solve_started(now);
                 }
                 sim.schedule(
@@ -1595,6 +1554,62 @@ impl Engine<'_> {
                 );
                 self.pending_solve = Some(pending);
             }
+        }
+    }
+
+    /// Runs the allocator for `observed` demand plus headroom and books the
+    /// solve (trace events, solver statistics, wall time), returning the
+    /// plan uncommitted. The [`ReplanCause::Initial`] solve starts from no
+    /// previous plan and is not a telemetry reallocation.
+    fn run_allocator(
+        &mut self,
+        now: SimTime,
+        cause: ReplanCause,
+        observed: FamilyMap<f64>,
+    ) -> PendingSolve {
+        self.last_solve_key = Some((now, self.liveness_epoch));
+        // The burst cooldown anchors at the trigger: while the control
+        // plane is (or was just) working on a plan, a burst must not pile
+        // a second solve on top.
+        self.last_realloc = now;
+        let demand = observed.scaled(self.config.demand_headroom);
+        self.obs.emit(now, || EventKind::ReplanTriggered { cause });
+        let initial = cause == ReplanCause::Initial;
+        let ctx = AllocContext {
+            cluster: &self.cluster,
+            zoo: &self.config.zoo,
+            store: self.store,
+            down: &self.down,
+        };
+        let previous = (!initial).then_some(&self.plan);
+        // lint:allow(wall-clock) — measures real solver wall time for
+        // SolveStats reporting; the result never feeds sim logic (the
+        // modeled solve window is built from search counters).
+        let start = std::time::Instant::now();
+        let plan = self.allocator.allocate(&ctx, &demand, previous, now);
+        let wall_secs = start.elapsed().as_secs_f64();
+        self.allocator_wall_secs += wall_secs;
+        if let Some(t) = self.obs.telemetry.as_deref_mut().filter(|_| !initial) {
+            t.on_phase(Phase::Solve, (wall_secs * 1e9) as u64);
+            t.on_reallocation();
+        }
+        if let Some(stats) = self.allocator.last_solve_stats() {
+            self.solver_stats += stats;
+            self.obs.emit(now, || EventKind::SolveStats {
+                nodes: stats.nodes,
+                pivots: stats.simplex_iterations,
+                warm_starts: stats.warm_starts,
+                wall_nanos: stats.wall.as_nanos() as u64,
+            });
+        }
+        PendingSolve {
+            id: self.next_solve_id + 1,
+            started: now,
+            cause,
+            plan,
+            demand,
+            observed,
+            wall_secs,
         }
     }
 
@@ -1614,43 +1629,21 @@ impl Engine<'_> {
         if cause == ReplanCause::Burst {
             self.burst_reallocations += 1;
         }
-        if plan.shrink() > 1.0 {
+        let shrink = plan.shrink();
+        if shrink > 1.0 {
             self.shrunk_plans += 1;
         }
         // The burst detector's baseline: what this plan was built for.
         self.planned_for = observed;
-
-        // §7 tandem: when even minimum accuracy cannot absorb the demand
-        // (the plan had to shrink), order enough hardware to cover the
-        // deficit; accuracy scaling carries the load until it arrives.
-        if let Some(elastic) = self.config.elastic {
-            if plan.shrink() > elastic.shrink_trigger
-                && self.extra_ordered < elastic.max_extra_devices
-            {
-                let deficit_qps = demand.total() * (1.0 - 1.0 / plan.shrink());
-                let per_device_qps =
-                    (plan.total_capacity() / self.cluster.len().max(1) as f64).max(1.0);
-                let wanted = (deficit_qps / per_device_qps).ceil().max(1.0) as u32;
-                let order = wanted.min(elastic.max_extra_devices - self.extra_ordered);
-                let ready = now + SimTime::from_secs_f64(elastic.provision_delay_secs);
-                // Orders that cannot arrive inside the horizon are never
-                // placed, so they must not consume the device budget and
-                // block later, deliverable orders.
-                if ready <= self.horizon {
-                    self.extra_ordered += order;
-                    for _ in 0..order {
-                        sim.schedule(
-                            ready,
-                            Event::ProvisionReady(proteus_profiler::DeviceType::V100),
-                        );
-                    }
-                }
-            }
-        }
-        let shrink = plan.shrink();
-        let apply_t0 = self.phase_start(Phase::ReplanApply);
-        let changed = self.apply_plan(plan, now, sim);
-        self.phase_end(Phase::ReplanApply, apply_t0);
+        let changed = if cause == ReplanCause::Initial {
+            self.preload_plan(plan)
+        } else {
+            self.order_hardware(&plan, &demand, now, sim);
+            let apply_t0 = self.obs.phase_start(Phase::ReplanApply);
+            let changed = self.apply_plan(plan, now, sim);
+            self.obs.phase_end(Phase::ReplanApply, apply_t0);
+            changed
+        };
         self.replan_log.push(ReplanRecord {
             at: started,
             committed_at: now,
@@ -1662,34 +1655,84 @@ impl Engine<'_> {
             observed,
             target: demand,
         });
-        if self.trace_on {
-            self.emit(now, EventKind::PlanApplied { changed, shrink });
-        }
+        self.obs
+            .emit(now, || EventKind::PlanApplied { changed, shrink });
         self.audit_applied_plan(now, &demand);
     }
 
-    /// Discards the in-flight solve (if any) because the device liveness
-    /// set changed mid-window: the plan was built against a cluster that
-    /// no longer exists and must never be applied.
-    fn discard_pending_solve(&mut self, now: SimTime) {
-        let Some(p) = self.pending_solve.take() else {
+    /// Puts the initial plan in force. Its models are pre-loaded before
+    /// the trace starts, so variants are placed without load delays;
+    /// returns how many devices host one.
+    fn preload_plan(&mut self, plan: AllocationPlan) -> u32 {
+        let mut changed = 0u32;
+        for (i, dev) in self.devices.iter_mut().enumerate() {
+            let assignment = plan.assignment(DeviceId(i as u32));
+            changed += u32::from(assignment.is_some());
+            dev.set_variant(assignment, self.store);
+            dev.worker.set_state(WorkerState::Idle);
+        }
+        self.routers = Router::from_plan(&plan);
+        self.plan = plan;
+        changed
+    }
+
+    /// §7 tandem: when even minimum accuracy cannot absorb the demand
+    /// (the plan had to shrink), order enough hardware to cover the
+    /// deficit; accuracy scaling carries the load until it arrives.
+    fn order_hardware(
+        &mut self,
+        plan: &AllocationPlan,
+        demand: &FamilyMap<f64>,
+        now: SimTime,
+        sim: &mut Simulation<Event>,
+    ) {
+        let Some(elastic) = self.config.elastic else {
             return;
         };
-        self.plans_discarded += 1;
-        // The liveness-change replan that follows sees the new device set;
-        // an older queued cause would only duplicate it.
-        self.queued_cause = None;
-        if self.trace_on {
-            self.emit(
-                now,
-                EventKind::PlanDiscarded {
-                    cause: p.cause,
-                    reason: proteus_trace::DiscardReason::Liveness,
-                },
-            );
+        if plan.shrink() > elastic.shrink_trigger && self.extra_ordered < elastic.max_extra_devices
+        {
+            let deficit_qps = demand.total() * (1.0 - 1.0 / plan.shrink());
+            let per_device_qps =
+                (plan.total_capacity() / self.cluster.len().max(1) as f64).max(1.0);
+            let wanted = (deficit_qps / per_device_qps).ceil().max(1.0) as u32;
+            let order = wanted.min(elastic.max_extra_devices - self.extra_ordered);
+            let ready = now + SimTime::from_secs_f64(elastic.provision_delay_secs);
+            // Orders that cannot arrive inside the horizon are never
+            // placed, so they must not consume the device budget and
+            // block later, deliverable orders.
+            if ready <= self.horizon {
+                self.extra_ordered += order;
+                for _ in 0..order {
+                    sim.schedule(
+                        ready,
+                        Event::ProvisionReady(proteus_profiler::DeviceType::V100),
+                    );
+                }
+            }
         }
-        if let Some(t) = self.telemetry.as_deref_mut() {
+    }
+
+    /// Books a solve whose plan will never be applied: it was built
+    /// against a device liveness set that no longer exists.
+    fn discard(&mut self, now: SimTime, cause: ReplanCause) {
+        self.plans_discarded += 1;
+        self.obs.emit(now, || EventKind::PlanDiscarded {
+            cause,
+            reason: proteus_trace::DiscardReason::Liveness,
+        });
+        if let Some(t) = self.obs.telemetry.as_deref_mut() {
             t.on_solve_resolved(now);
+        }
+    }
+
+    /// Discards the in-flight solve (if any) because the device liveness
+    /// set changed mid-window.
+    fn discard_pending_solve(&mut self, now: SimTime) {
+        if let Some(p) = self.pending_solve.take() {
+            // The liveness-change replan that follows sees the new device
+            // set; an older queued cause would only duplicate it.
+            self.queued_cause = None;
+            self.discard(now, p.cause);
         }
     }
 
@@ -1700,19 +1743,18 @@ impl Engine<'_> {
     /// must never be able to wedge the engine.
     fn handle_fault(&mut self, now: SimTime, kind: FaultKind, sim: &mut Simulation<Event>) {
         let d = kind.device() as usize;
-        if d >= self.workers.len() {
+        if d >= self.devices.len() {
             return;
         }
-        let id = proteus_profiler::DeviceId(kind.device());
+        let id = DeviceId(kind.device());
         match kind {
             FaultKind::DeviceCrash { .. } => {
-                if !self.workers[d].is_up() {
+                if !self.devices[d].worker.is_up() {
                     return;
                 }
-                self.workers[d].set_up(false);
-                if self.trace_on {
-                    self.emit(now, EventKind::WorkerCrashed { device: id });
-                }
+                self.devices[d].worker.set_up(false);
+                self.obs
+                    .emit(now, || EventKind::WorkerCrashed { device: id });
                 // The liveness set changed: an in-flight plan was built
                 // against a cluster that no longer exists. Discard it; the
                 // DeviceFailure replan below solves against the new set.
@@ -1726,22 +1768,20 @@ impl Engine<'_> {
                 for router in &mut self.routers {
                     router.remove_target(id);
                 }
-                // Close the online window.
-                if let Some(since) = self.online_since[d].take() {
-                    self.device_stats[d].online += now.saturating_sub(since);
-                }
+                self.devices[d].close_online(now);
                 self.cancel_timer(d, sim);
                 // Any pending or staged load completion is now meaningless.
-                self.workers[d].load_generation += 1;
-                self.workers[d].pending_load = None;
-                self.staged_target[d] = None;
+                let dev = &mut self.devices[d];
+                dev.worker.load_generation += 1;
+                dev.worker.pending_load = None;
+                dev.staged_target = None;
                 // Salvage the executing batch (its completion is cancelled
                 // and its stats rolled back — it never finished) plus
                 // everything still queued.
                 let mut salvage: Vec<Query> = Vec::new();
-                if let Some(inflight) = self.inflight[d].take() {
+                if let Some(inflight) = dev.inflight.take() {
                     sim.cancel(inflight.key);
-                    let stats = &mut self.device_stats[d];
+                    let stats = &mut dev.stats;
                     stats.busy = stats
                         .busy
                         .saturating_sub(inflight.done_at.saturating_sub(inflight.started));
@@ -1749,9 +1789,9 @@ impl Engine<'_> {
                     stats.queries = stats.queries.saturating_sub(inflight.queries.len() as u64);
                     salvage.extend(inflight.queries);
                 }
-                salvage.extend(self.workers[d].drain_queue());
-                self.set_worker_variant(d, None);
-                self.workers[d].set_state(WorkerState::Idle);
+                salvage.extend(dev.worker.drain_queue());
+                dev.set_variant(None, self.store);
+                dev.worker.set_state(WorkerState::Idle);
                 self.redispatch(now, id, salvage, sim);
                 // The controller replans immediately around the failure.
                 if !self.allocator.is_static() {
@@ -1759,10 +1799,10 @@ impl Engine<'_> {
                 }
             }
             FaultKind::DeviceRecover { .. } => {
-                if self.workers[d].is_up() {
+                if self.devices[d].worker.is_up() {
                     return;
                 }
-                self.workers[d].set_up(true);
+                self.devices[d].worker.set_up(true);
                 // A recovery changes the usable device set just like a
                 // crash: a plan solved without this device is stale (and a
                 // coalesced same-instant trigger would see a different
@@ -1770,16 +1810,16 @@ impl Engine<'_> {
                 self.liveness_epoch += 1;
                 self.discard_pending_solve(now);
                 // Back empty: no model survives a crash.
-                self.set_worker_variant(d, None);
-                self.workers[d].set_state(WorkerState::Idle);
-                self.load_attempts[d] = 0;
-                self.online_since[d] = Some(now);
+                let dev = &mut self.devices[d];
+                dev.set_variant(None, self.store);
+                dev.worker.set_state(WorkerState::Idle);
+                dev.load_attempts = 0;
+                dev.online_since = Some(now);
                 if let Ok(pos) = self.down.binary_search(&id) {
                     self.down.remove(pos);
                 }
-                if self.trace_on {
-                    self.emit(now, EventKind::WorkerRecovered { device: id });
-                }
+                self.obs
+                    .emit(now, || EventKind::WorkerRecovered { device: id });
                 // Fold the recovered capacity back into service.
                 if !self.allocator.is_static() {
                     self.reallocate(now, ReplanCause::DeviceFailure, sim);
@@ -1788,22 +1828,16 @@ impl Engine<'_> {
             FaultKind::StragglerStart { slowdown, .. } => {
                 // Clamp defensively: a sub-1.0 factor would be a speedup.
                 let slowdown = slowdown.max(1.0);
-                self.slowdown[d] = slowdown;
-                if self.trace_on {
-                    self.emit(
-                        now,
-                        EventKind::StragglerStarted {
-                            device: id,
-                            slowdown,
-                        },
-                    );
-                }
+                self.devices[d].slowdown = slowdown;
+                self.obs.emit(now, || EventKind::StragglerStarted {
+                    device: id,
+                    slowdown,
+                });
             }
             FaultKind::StragglerEnd { .. } => {
-                self.slowdown[d] = 1.0;
-                if self.trace_on {
-                    self.emit(now, EventKind::StragglerEnded { device: id });
-                }
+                self.devices[d].slowdown = 1.0;
+                self.obs
+                    .emit(now, || EventKind::StragglerEnded { device: id });
             }
         }
     }
@@ -1816,7 +1850,7 @@ impl Engine<'_> {
     fn redispatch(
         &mut self,
         now: SimTime,
-        from: proteus_profiler::DeviceId,
+        from: DeviceId,
         salvage: Vec<Query>,
         sim: &mut Simulation<Event>,
     ) {
@@ -1826,67 +1860,15 @@ impl Engine<'_> {
             *attempts += 1;
             let attempt = *attempts;
             if attempt > MAX_QUERY_RETRIES {
-                self.drop_query(now, &q, DropReason::DeviceFailed);
+                self.obs.dropped(now, &q, DropReason::DeviceFailed);
                 continue;
             }
-            match self.route(q.family) {
-                Some(d) if self.workers[d].is_up() => match self.workers[d].enqueue(q) {
-                    Ok(()) => {
-                        if self.trace_on {
-                            self.emit(
-                                now,
-                                EventKind::QueryRetried {
-                                    query: q.id.0,
-                                    from,
-                                    attempt,
-                                },
-                            );
-                            // Record the salvaged query's new placement so
-                            // offline analysis anchors its wait window on
-                            // the device that actually serves it, not the
-                            // crashed one.
-                            let device = proteus_profiler::DeviceId(d as u32);
-                            self.emit(
-                                now,
-                                EventKind::Routed {
-                                    query: q.id.0,
-                                    device,
-                                },
-                            );
-                            self.emit(
-                                now,
-                                EventKind::Enqueued {
-                                    query: q.id.0,
-                                    device,
-                                    depth: self.workers[d].queue_len() as u32,
-                                    behind: self.inflight[d].as_ref().map(|f| f.batch),
-                                },
-                            );
-                        }
-                        touched.push(d);
-                    }
-                    Err(q) => self.drop_query(now, &q, DropReason::QueueFull),
-                },
-                // No live host for the family (or the router still points
-                // at a corpse): the query dies with the device.
-                _ => self.drop_query(now, &q, DropReason::DeviceFailed),
-            }
+            // The salvaged query's new placement is recorded so offline
+            // analysis anchors its wait window on the device that actually
+            // serves it, not the crashed one.
+            touched.extend(self.place(now, q, Placement::Retry { from, attempt }));
         }
-        touched.sort_unstable();
-        touched.dedup();
-        for d in touched {
-            self.poke(d, now, sim);
-        }
-    }
-
-    /// Closes every still-open online window at the end of the run.
-    fn finalize_online(&mut self) {
-        let horizon = self.horizon;
-        for d in 0..self.online_since.len() {
-            if let Some(since) = self.online_since[d].take() {
-                self.device_stats[d].online += horizon.saturating_sub(since);
-            }
-        }
+        self.poke_all(touched, now, sim);
     }
 }
 
@@ -1897,58 +1879,13 @@ impl Actor for Engine<'_> {
         match event {
             Event::NextArrival(i) => {
                 let arrival = self.arrivals[i];
-                self.metrics.record_arrival(now, arrival.family);
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.on_arrival(arrival.family);
-                }
-                self.estimator.record(arrival.family);
                 let slo = self.slo_by_family[arrival.family];
                 let query =
                     Query::new(QueryId(i as u64), arrival.family, now, slo).with_cost(arrival.cost);
-                if self.trace_on {
-                    self.emit(
-                        now,
-                        EventKind::Arrived {
-                            query: query.id.0,
-                            family: arrival.family,
-                        },
-                    );
-                }
-                let route_t0 = self.phase_start(Phase::Route);
-                let routed = self.route(arrival.family);
-                self.phase_end(Phase::Route, route_t0);
-                match routed {
-                    // Scripted allocators may keep a dead device in their
-                    // routing tables; the solver path never does.
-                    Some(d) if !self.workers[d].is_up() => {
-                        self.drop_query(now, &query, DropReason::DeviceFailed)
-                    }
-                    Some(d) => match self.workers[d].enqueue(query) {
-                        Ok(()) => {
-                            if self.trace_on {
-                                let device = proteus_profiler::DeviceId(d as u32);
-                                self.emit(
-                                    now,
-                                    EventKind::Routed {
-                                        query: i as u64,
-                                        device,
-                                    },
-                                );
-                                self.emit(
-                                    now,
-                                    EventKind::Enqueued {
-                                        query: i as u64,
-                                        device,
-                                        depth: self.workers[d].queue_len() as u32,
-                                        behind: self.inflight[d].as_ref().map(|f| f.batch),
-                                    },
-                                );
-                            }
-                            self.poke(d, now, sim)
-                        }
-                        Err(q) => self.drop_query(now, &q, DropReason::QueueFull),
-                    },
-                    None => self.drop_query(now, &query, DropReason::NoHost),
+                self.obs.arrived(now, &query);
+                self.estimator.record(arrival.family);
+                if let Some(d) = self.place(now, query, Placement::Arrival) {
+                    self.poke(d, now, sim);
                 }
                 if let Some(next) = self.arrivals.get(i + 1) {
                     sim.schedule(next.at, Event::NextArrival(i + 1));
@@ -1956,7 +1893,7 @@ impl Actor for Engine<'_> {
             }
             Event::WorkerTimer(d) => {
                 let d = d as usize;
-                self.workers[d].timer = None;
+                self.devices[d].worker.timer = None;
                 self.poke(d, now, sim);
             }
             Event::BatchDone {
@@ -1970,57 +1907,30 @@ impl Actor for Engine<'_> {
                 // the shadow's id mismatch rejects the stale completion. The
                 // shadow owns the batch's queries — the event itself carries
                 // none, so scheduling a batch allocates nothing.
-                let fl = match self.inflight[d].take() {
+                let fl = match self.devices[d].inflight.take() {
                     Some(f) if f.batch == batch => f,
                     other => {
-                        self.inflight[d] = other;
+                        self.devices[d].inflight = other;
                         return;
                     }
                 };
-                if self.trace_on {
-                    self.emit(
-                        now,
-                        EventKind::ExecCompleted {
-                            device: proteus_profiler::DeviceId(device),
-                            batch,
-                        },
-                    );
-                }
+                self.obs.emit(now, || EventKind::ExecCompleted {
+                    device: DeviceId(device),
+                    batch,
+                });
+                let epoch = u64::from(self.reallocations);
                 let mut any_late = false;
                 for q in &fl.queries {
-                    let on_time = now <= q.deadline;
-                    any_late |= !on_time;
-                    let latency = now.saturating_sub(q.arrived);
-                    self.metrics
-                        .record_served_latency(now, q.family, accuracy, on_time, latency);
-                    if let Some(t) = self.telemetry.as_deref_mut() {
-                        t.on_served(q.id.0, q.family, accuracy, on_time, latency);
-                    }
-                    if self.trace_on {
-                        let epoch = u64::from(self.reallocations);
-                        let kind = if on_time {
-                            EventKind::ServedOnTime {
-                                query: q.id.0,
-                                latency,
-                                epoch,
-                            }
-                        } else {
-                            EventKind::ServedLate {
-                                query: q.id.0,
-                                latency,
-                                epoch,
-                            }
-                        };
-                        self.emit(now, kind);
-                    }
+                    any_late |= !self.obs.served(now, q, accuracy, epoch);
                 }
                 // Recycle the batch buffer for the next Execute decision.
                 let mut queries = fl.queries;
                 queries.clear();
                 self.batch_pool.push(queries);
-                self.workers[d].policy_mut().on_batch_complete(any_late);
-                self.workers[d].set_state(WorkerState::Idle);
-                if let Some(delay) = self.workers[d].pending_load.take() {
+                let worker = &mut self.devices[d].worker;
+                worker.policy_mut().on_batch_complete(any_late);
+                worker.set_state(WorkerState::Idle);
+                if let Some(delay) = worker.pending_load.take() {
                     // The swap deferred by `apply_plan`; its delay was
                     // computed there, for the new variant.
                     self.start_load_with_delay(d, now, delay, sim);
@@ -2030,10 +1940,11 @@ impl Actor for Engine<'_> {
             }
             Event::LoadDone { device, generation } => {
                 let d = device as usize;
-                if self.workers[d].load_generation != generation {
-                    return; // superseded by a newer plan
-                }
-                if !matches!(self.workers[d].state(), WorkerState::Loading(_)) {
+                let worker = &self.devices[d].worker;
+                // Superseded by a newer plan, or no longer loading.
+                if worker.load_generation != generation
+                    || !matches!(worker.state(), WorkerState::Loading(_))
+                {
                     return;
                 }
                 // Injected load failure: the weight transfer did not take.
@@ -2041,30 +1952,24 @@ impl Actor for Engine<'_> {
                 // the placement is abandoned until the next replan.
                 let p = self.config.faults.load_failure_p.clamp(0.0, 1.0);
                 if p > 0.0 && rand::Rng::random::<f64>(&mut self.fault_rng) < p {
-                    let attempt = self.load_attempts[d] + 1;
-                    self.load_attempts[d] = attempt;
-                    let variant = self.workers[d].variant();
-                    if self.trace_on {
-                        self.emit(
-                            now,
-                            EventKind::LoadFailed {
-                                device: proteus_profiler::DeviceId(device),
-                                variant,
-                                attempt,
-                            },
-                        );
-                    }
+                    let dev = &mut self.devices[d];
+                    dev.load_attempts += 1;
+                    let attempt = dev.load_attempts;
+                    let variant = dev.worker.variant();
+                    self.obs.emit(now, || EventKind::LoadFailed {
+                        device: DeviceId(device),
+                        variant,
+                        attempt,
+                    });
                     if attempt >= MAX_LOAD_ATTEMPTS {
                         // Give up: the device hosts nothing; queries that
                         // piled up behind the load have no host here.
-                        self.set_worker_variant(d, None);
-                        self.workers[d].set_state(WorkerState::Idle);
-                        let orphans = self.workers[d].drain_queue();
-                        for q in orphans {
-                            self.drop_query(now, &q, DropReason::NoHost);
-                        }
+                        let dev = &mut self.devices[d];
+                        dev.set_variant(None, self.store);
+                        dev.worker.set_state(WorkerState::Idle);
+                        self.drop_queue(d, now, DropReason::NoHost);
                         for router in &mut self.routers {
-                            router.remove_target(proteus_profiler::DeviceId(device));
+                            router.remove_target(DeviceId(device));
                         }
                         return;
                     }
@@ -2074,16 +1979,12 @@ impl Actor for Engine<'_> {
                     self.start_load_with_delay(d, now, delay, sim);
                     return;
                 }
-                self.load_attempts[d] = 0;
-                self.workers[d].set_state(WorkerState::Idle);
-                if self.trace_on {
-                    self.emit(
-                        now,
-                        EventKind::ModelLoadFinished {
-                            device: proteus_profiler::DeviceId(device),
-                        },
-                    );
-                }
+                let dev = &mut self.devices[d];
+                dev.load_attempts = 0;
+                dev.worker.set_state(WorkerState::Idle);
+                self.obs.emit(now, || EventKind::ModelLoadFinished {
+                    device: DeviceId(device),
+                });
                 self.poke(d, now, sim);
             }
             Event::MonitorTick => {
@@ -2112,15 +2013,7 @@ impl Actor for Engine<'_> {
                         }
                     }
                 }
-                // Drive the telemetry plane on the monitoring cadence: the
-                // registry seals a step, the burn engine scans it, and any
-                // alert transitions become first-class trace events.
-                if let Some(mut t) = self.telemetry.take() {
-                    let devices = self.device_samples();
-                    let transitions = t.tick(now, &devices);
-                    self.emit_alerts(&transitions);
-                    self.telemetry = Some(t);
-                }
+                self.obs.tick(now, &self.devices);
                 let next = now + SimTime::from_secs_f64(self.config.monitor_period_secs);
                 if next <= self.horizon {
                     sim.schedule(next, Event::MonitorTick);
@@ -2147,29 +2040,15 @@ impl Actor for Engine<'_> {
                 // change, so a pending plan can never reference a down
                 // device here — but a plan that does must not be applied
                 // under any circumstances.
-                let refs_down = self.down.iter().any(|&d| p.plan.assignment(d).is_some());
-                if refs_down {
-                    self.plans_discarded += 1;
-                    if self.trace_on {
-                        self.emit(
-                            now,
-                            EventKind::PlanDiscarded {
-                                cause: p.cause,
-                                reason: proteus_trace::DiscardReason::Liveness,
-                            },
-                        );
-                    }
-                    if let Some(t) = self.telemetry.as_deref_mut() {
-                        t.on_solve_resolved(now);
-                    }
+                if self.down.iter().any(|&d| p.plan.assignment(d).is_some()) {
+                    self.discard(now, p.cause);
                     let cause = self.queued_cause.take().unwrap_or(p.cause);
                     self.begin_solve(now, cause, sim);
                     return;
                 }
-                if self.trace_on {
-                    self.emit(now, EventKind::SolveComplete { cause: p.cause });
-                }
-                if let Some(t) = self.telemetry.as_deref_mut() {
+                self.obs
+                    .emit(now, || EventKind::SolveComplete { cause: p.cause });
+                if let Some(t) = self.obs.telemetry.as_deref_mut() {
                     t.on_solve_resolved(now);
                 }
                 self.commit_plan(p, now, sim);
@@ -2181,19 +2060,20 @@ impl Actor for Engine<'_> {
             }
             Event::StagedLoadDone { device, generation } => {
                 let d = device as usize;
-                if self.workers[d].load_generation != generation {
+                let dev = &mut self.devices[d];
+                if dev.worker.load_generation != generation {
                     return; // superseded by a newer plan or a crash
                 }
-                let Some(v) = self.staged_target[d].take() else {
+                let Some(v) = dev.staged_target.take() else {
                     return;
                 };
-                if !self.workers[d].is_up() {
+                if !dev.worker.is_up() {
                     return;
                 }
                 // The background load finished: swap the serving variant.
                 // The worker served its old variant for the whole window
                 // (an executing batch keeps its captured profile).
-                self.set_worker_variant(d, Some(v));
+                dev.set_variant(Some(v), self.store);
                 self.poke(d, now, sim);
             }
             Event::ProvisionReady(device_type) => {
@@ -2204,33 +2084,12 @@ impl Actor for Engine<'_> {
                 let Some(&spec) = self.cluster.device(id) else {
                     return;
                 };
-                self.workers.push(Worker::new(
-                    spec,
-                    self.batching_proto.clone_box(),
-                    self.config.queue_cap,
-                ));
-                self.device_stats.push(DeviceStats::default());
-                self.profiles.push(None);
-                self.lat_tables.push(Vec::new());
-                self.inflight.push(None);
-                self.slowdown.push(1.0);
-                self.online_since.push(Some(now));
-                self.load_attempts.push(0);
-                self.staged_target.push(None);
                 self.provisioned += 1;
                 // The usable device set grew: a same-instant replan (the
                 // ProvisionedRealloc below) must not be coalesced against a
                 // pre-provision solve key.
                 self.liveness_epoch += 1;
-                if self.trace_on {
-                    self.emit(
-                        now,
-                        EventKind::WorkerOnline {
-                            device: spec.id,
-                            device_type: spec.device_type,
-                        },
-                    );
-                }
+                self.add_device(spec, now);
                 // Fold new devices into service with one re-allocation per
                 // provisioning batch, after every same-instant arrival has
                 // registered (FIFO ordering guarantees this event fires

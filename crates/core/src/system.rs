@@ -191,6 +191,11 @@ impl std::str::FromStr for SolveLatency {
                     if !secs.is_finite() || secs <= 0.0 {
                         return Err(format!("fixed solve latency must be positive, got {secs}"));
                     }
+                    if SimTime::checked_from_secs_f64(secs).is_none() {
+                        return Err(format!(
+                            "fixed solve latency {secs} s is beyond the simulated time range"
+                        ));
+                    }
                     Ok(SolveLatency::Fixed(secs))
                 }
                 None => Err(format!(
@@ -2508,6 +2513,48 @@ mod tests {
         assert!("warp".parse::<SolveLatency>().is_err());
         assert!("fixed:0".parse::<SolveLatency>().is_err());
         assert!("fixed:nope".parse::<SolveLatency>().is_err());
+        // Finite but past SimTime's ~584-year range.
+        let err = "fixed:1e300".parse::<SolveLatency>().unwrap_err();
+        assert!(err.contains("range"), "{err}");
+    }
+
+    /// Fragments the solve-latency grammar branches on.
+    const SOLVE_LATENCY_TOKENS: &[&str] = &[
+        "zero", "model", "fixed:", "fixed", ":", "0", "1", "4.2", "-1", "1e300", "2e10", "inf",
+        "NaN", ".", "e",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Any input parses to a latency whose delay is representable, or
+        /// is rejected; it never panics, and what parses prints back to
+        /// itself.
+        #[test]
+        fn solve_latency_parse_never_panics(
+            pieces in proptest::collection::vec((0u8..2, 0u16..256, 0..SOLVE_LATENCY_TOKENS.len()), 0..8),
+        ) {
+            let bytes: Vec<u8> = pieces
+                .iter()
+                .flat_map(|&(pick, any, token)| {
+                    if pick == 0 {
+                        vec![any.to_le_bytes()[0]]
+                    } else {
+                        SOLVE_LATENCY_TOKENS[token].as_bytes().to_vec()
+                    }
+                })
+                .collect();
+            let text = String::from_utf8_lossy(&bytes);
+            for text in [text.to_string(), format!("fixed:{text}")] {
+                if let Ok(latency) = text.parse::<SolveLatency>() {
+                    let _ = latency.delay(None);
+                    proptest::prop_assert_eq!(
+                        latency.to_string().parse::<SolveLatency>(),
+                        Ok(latency)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

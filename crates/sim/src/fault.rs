@@ -202,6 +202,10 @@ impl FromStr for FaultSchedule {
                 .filter(|x| x.is_finite() && *x >= 0.0)
                 .ok_or_else(|| err(format!("`{v}` is not a non-negative number")))
         };
+        let time = |v: &str| -> Result<SimTime, ParseFaultError> {
+            SimTime::checked_from_secs_f64(num(v)?)
+                .ok_or_else(|| err(format!("`{v}` s is beyond the simulated time range")))
+        };
         let dev = |v: &str| -> Result<u32, ParseFaultError> {
             v.trim()
                 .parse::<u32>()
@@ -221,7 +225,7 @@ impl FromStr for FaultSchedule {
                     let Some((secs, device)) = rest.split_once(':') else {
                         return Err(err(format!("`{clause}` needs `<secs>:<device>`")));
                     };
-                    let at = SimTime::from_secs_f64(num(secs)?);
+                    let at = time(secs)?;
                     let device = dev(device)?;
                     schedule.events.push(FaultEvent {
                         at,
@@ -246,20 +250,20 @@ impl FromStr for FaultSchedule {
                             "`{clause}` needs a `<device>x<factor>` target"
                         )));
                     };
-                    let (start, end) = (num(start)?, num(end)?);
+                    let (start, end) = (time(start)?, time(end)?);
                     if end <= start {
                         return Err(err(format!("`{clause}` window must end after it starts")));
                     }
                     let device = dev(device)?;
                     schedule.events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(start),
+                        at: start,
                         kind: FaultKind::StragglerStart {
                             device,
                             slowdown: num(factor)?,
                         },
                     });
                     schedule.events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(end),
+                        at: end,
                         kind: FaultKind::StragglerEnd { device },
                     });
                 }
@@ -361,6 +365,10 @@ mod tests {
             "loadfail@1.5",
             "loadfail@x",
             "frob@1:2",
+            // Finite but past SimTime's ~584-year range.
+            "crash@2e10:1",
+            "recover@1e300:0",
+            "slow@1-2e10:1x2",
         ] {
             assert!(bad.parse::<FaultSchedule>().is_err(), "{bad:?} should fail");
         }

@@ -66,6 +66,26 @@ impl SimTime {
         SimTime(nanos.round() as u64)
     }
 
+    /// Like [`SimTime::from_secs_f64`], but returns `None` instead of
+    /// panicking when `secs` is negative, non-finite, or too large to
+    /// represent. Parsers of user-supplied times use this.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use proteus_sim::SimTime;
+    ///
+    /// assert_eq!(SimTime::checked_from_secs_f64(1.5), Some(SimTime::from_millis(1500)));
+    /// assert_eq!(SimTime::checked_from_secs_f64(2e10), None);
+    /// assert_eq!(SimTime::checked_from_secs_f64(-1.0), None);
+    /// assert_eq!(SimTime::checked_from_secs_f64(f64::NAN), None);
+    /// ```
+    pub fn checked_from_secs_f64(secs: f64) -> Option<Self> {
+        let nanos = secs * 1e9;
+        (secs.is_finite() && secs >= 0.0 && nanos <= u64::MAX as f64)
+            .then(|| SimTime(nanos.round() as u64))
+    }
+
     /// Creates a time from fractional milliseconds, rounding to the nearest
     /// nanosecond.
     ///
@@ -215,6 +235,25 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_seconds_panic() {
         let _ = SimTime::from_secs_f64(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime overflow")]
+    fn out_of_range_seconds_panic() {
+        let _ = SimTime::from_secs_f64(2e10);
+    }
+
+    #[test]
+    fn checked_conversion_rejects_what_the_panicking_one_would() {
+        for secs in [0.0, 1.5, 1_440.999_999_999, 1.8e10] {
+            assert_eq!(
+                SimTime::checked_from_secs_f64(secs),
+                Some(SimTime::from_secs_f64(secs))
+            );
+        }
+        for secs in [-1.0, -0.0001, 1.9e10, 2e10, 1e300, f64::INFINITY, f64::NAN] {
+            assert_eq!(SimTime::checked_from_secs_f64(secs), None, "{secs}");
+        }
     }
 
     #[test]

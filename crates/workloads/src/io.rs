@@ -70,8 +70,8 @@ pub fn arrivals_to_csv(arrivals: &[QueryArrival]) -> String {
 ///
 /// # Errors
 ///
-/// Returns the first malformed line (wrong column count, negative or
-/// non-numeric time, unknown family, non-positive cost).
+/// Returns the first malformed line (wrong column count, negative,
+/// non-numeric or unrepresentable time, unknown family, non-positive cost).
 pub fn arrivals_from_csv(text: &str) -> Result<Vec<QueryArrival>, ParseTraceError> {
     let mut out = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -91,9 +91,11 @@ pub fn arrivals_from_csv(text: &str) -> Result<Vec<QueryArrival>, ParseTraceErro
             .trim()
             .parse()
             .map_err(|_| bad(format!("`{t}` is not a number")))?;
-        if !secs.is_finite() || secs < 0.0 {
-            return Err(bad(format!("time {secs} must be finite and non-negative")));
-        }
+        let Some(at) = SimTime::checked_from_secs_f64(secs) else {
+            return Err(bad(format!(
+                "time {secs} must be finite, non-negative and within the simulated range"
+            )));
+        };
         let family: ModelFamily = fam.trim().parse().map_err(|e| bad(format!("{e}")))?;
         let cost = match cost_col {
             None => 1.0,
@@ -108,11 +110,7 @@ pub fn arrivals_from_csv(text: &str) -> Result<Vec<QueryArrival>, ParseTraceErro
                 cost
             }
         };
-        out.push(QueryArrival {
-            at: SimTime::from_secs_f64(secs),
-            family,
-            cost,
-        });
+        out.push(QueryArrival { at, family, cost });
     }
     out.sort_by_key(|a| a.at);
     Ok(out)
@@ -269,6 +267,10 @@ mod tests {
         assert!(err.reason.contains("time_secs,family"));
         let err = arrivals_from_csv("-1.0,BERT\n").unwrap_err();
         assert!(err.reason.contains("non-negative"));
+        // Finite but past SimTime's ~584-year range.
+        let err = arrivals_from_csv("time_secs,family\n2e10,BERT\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.reason.contains("simulated range"), "{}", err.reason);
         let err = arrivals_from_csv("1.0,BERT,0.0\n").unwrap_err();
         assert!(err.reason.contains("positive"));
         let err = arrivals_from_csv("1.0,BERT,1.0,extra\n").unwrap_err();

@@ -103,3 +103,71 @@ proptest! {
         prop_assert_eq!(fast.duration_secs(), secs.div_ceil(factor));
     }
 }
+
+/// Fragments the two CSV readers branch on, including times past the
+/// simulated range and second indices past `u32`.
+const CSV_TOKENS: &[&str] = &[
+    "time_secs,family",
+    "second,qps",
+    ",",
+    "\n",
+    "\r\n",
+    " ",
+    "BERT",
+    "ResNet",
+    "0",
+    "1",
+    "1.5",
+    "-1",
+    "2e10",
+    "1e300",
+    "inf",
+    "NaN",
+    "4294967296",
+    "18446744073709551616",
+];
+
+/// A random byte or a CSV fragment, half the time each.
+fn hostile_piece() -> impl Strategy<Value = Vec<u8>> {
+    (0u8..2, 0u16..256, 0..CSV_TOKENS.len()).prop_map(|(pick, any, token)| {
+        if pick == 0 {
+            vec![any.to_le_bytes()[0]]
+        } else {
+            CSV_TOKENS[token].as_bytes().to_vec()
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Both readers reject hostile input with an error, never a panic,
+    /// and what they accept is well formed.
+    #[test]
+    fn csv_readers_never_panic(pieces in prop::collection::vec(hostile_piece(), 0..32)) {
+        let text = String::from_utf8_lossy(&pieces.concat()).into_owned();
+        if let Ok(arrivals) = arrivals_from_csv(&text) {
+            for w in arrivals.windows(2) {
+                prop_assert!(w[0].at <= w[1].at, "{text:?}");
+            }
+            prop_assert!(arrivals.iter().all(|a| a.cost.is_finite() && a.cost > 0.0));
+        }
+        if let Ok(recorded) = RecordedTrace::from_csv(&text) {
+            for s in 0..recorded.duration_secs() {
+                let q = recorded.qps_at(s);
+                prop_assert!(q.is_finite() && q >= 0.0, "{text:?}");
+            }
+        }
+    }
+
+    /// A well-formed arrival line parses exactly when its time is
+    /// representable.
+    #[test]
+    fn any_arrival_time_parses_or_fails_cleanly(mantissa in 0.0f64..10.0, exponent in 0i32..40) {
+        let secs = mantissa * 10f64.powi(exponent);
+        match arrivals_from_csv(&format!("{secs},BERT\n")) {
+            Ok(arrivals) => prop_assert!(arrivals.len() == 1 && secs <= 1.9e10, "{secs}"),
+            Err(e) => prop_assert!(secs > 1.8e10, "{secs}: {e}"),
+        }
+    }
+}

@@ -219,7 +219,16 @@ impl FromStr for ExperimentConfig {
                         other => return Err(bad(format!("unknown trace `{other}`"))),
                     }
                 }
-                "trace_secs" => config.trace_secs = num(value)? as u32,
+                "trace_secs" => {
+                    let secs = num(value)?;
+                    if !(0.0..=f64::from(u32::MAX)).contains(&secs) {
+                        return Err(bad(format!(
+                            "trace_secs {secs} is outside 0..={}",
+                            u32::MAX
+                        )));
+                    }
+                    config.trace_secs = secs as u32;
+                }
                 "base_qps" => config.base_qps = num(value)?,
                 "peak_qps" => config.peak_qps = num(value)?,
                 "seed" => config.seed = num(value)? as u64,
@@ -322,6 +331,20 @@ impl ExperimentConfig {
     ///
     /// Returns a description of the first violated requirement.
     pub fn validate(&self) -> Result<(), String> {
+        for (key, value) in [
+            ("base_qps", self.base_qps),
+            ("peak_qps", self.peak_qps),
+            ("slo_multiplier", self.slo_multiplier),
+            ("realloc_period", self.realloc_period_secs),
+            ("beta", self.beta),
+            ("telemetry_window", self.telemetry_window_secs),
+            ("telemetry_step", self.telemetry_step_secs),
+            ("telemetry_objective", self.telemetry_objective),
+        ] {
+            if !value.is_finite() {
+                return Err(format!("{key} must be finite, got {value}"));
+            }
+        }
         if self.trace_secs == 0 {
             return Err("trace_secs must be positive".into());
         }
@@ -517,6 +540,143 @@ mod tests {
         assert!(err.reason.contains("at least one device"));
         let err = "beta = 0.9".parse::<ExperimentConfig>().unwrap_err();
         assert!(err.reason.contains("beta"));
+    }
+
+    #[test]
+    fn rejects_non_finite_numbers() {
+        for key in [
+            "base_qps",
+            "peak_qps",
+            "slo_multiplier",
+            "realloc_period",
+            "realloc_period_secs",
+            "beta",
+            "telemetry_window",
+            "telemetry_step",
+            "telemetry_objective",
+        ] {
+            for value in ["nan", "NaN", "inf", "-inf", "infinity"] {
+                let text = format!("{key} = {value}");
+                let err = text.parse::<ExperimentConfig>().unwrap_err();
+                assert!(err.reason.contains("finite"), "{text}: {}", err.reason);
+            }
+        }
+        let err = ExperimentConfig {
+            peak_qps: f64::INFINITY,
+            ..ExperimentConfig::default()
+        }
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("peak_qps"), "{err}");
+    }
+
+    #[test]
+    fn trace_secs_must_fit_u32() {
+        let c: ExperimentConfig = "trace_secs = 4294967295".parse().unwrap();
+        assert_eq!(c.trace_secs, u32::MAX);
+        for value in ["4294967296", "1e12", "-1", "nan", "inf"] {
+            let text = format!("trace_secs = {value}");
+            let err = text.parse::<ExperimentConfig>().unwrap_err();
+            assert!(err.reason.contains("trace_secs"), "{text}: {}", err.reason);
+        }
+    }
+
+    /// Keys whose values the reader converts or range-checks.
+    const KEYS: &[&str] = &[
+        "trace_secs",
+        "base_qps",
+        "peak_qps",
+        "seed",
+        "slo_multiplier",
+        "cluster",
+        "realloc_period",
+        "beta",
+        "solve_latency",
+        "faults",
+        "telemetry_window",
+        "telemetry_step",
+        "telemetry_objective",
+        "batching",
+    ];
+
+    /// Values that are non-finite, negative or out of range, next to
+    /// ordinary ones.
+    const VALUES: &[&str] = &[
+        "0",
+        "1",
+        "0.5",
+        "2",
+        "-1",
+        "1e300",
+        "2e10",
+        "4294967296",
+        "inf",
+        "-inf",
+        "nan",
+        "1,1,1",
+        "static:0",
+        "fixed:1e300",
+        "fixed:2",
+        "crash@2e10:1",
+        "crash@3:1",
+    ];
+
+    const SEPARATORS: &[&str] = &[" = ", "=", "\n", "#", ",", ":", ";", " "];
+
+    /// A random byte, or a key, value or separator fragment.
+    fn hostile_piece((pick, any, token): (u8, u16, usize)) -> Vec<u8> {
+        let from = |pool: &[&str]| pool[token % pool.len()].as_bytes().to_vec();
+        match pick {
+            0 => vec![any.to_le_bytes()[0]],
+            1 => from(KEYS),
+            2 => from(VALUES),
+            _ => from(SEPARATORS),
+        }
+    }
+
+    /// What a parsed configuration must satisfy, whatever the input.
+    fn check_parsed(text: &str) -> Result<(), proptest::prelude::TestCaseError> {
+        if let Ok(config) = text.parse::<ExperimentConfig>() {
+            proptest::prop_assert!(config.validate().is_ok(), "{text:?}");
+            let floats = [
+                config.base_qps,
+                config.peak_qps,
+                config.slo_multiplier,
+                config.realloc_period_secs,
+                config.beta,
+                config.telemetry_window_secs,
+                config.telemetry_step_secs,
+                config.telemetry_objective,
+            ];
+            proptest::prop_assert!(floats.iter().all(|v| v.is_finite()), "{text:?}");
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Any text either fails to parse or yields a configuration that
+        /// validates with every number finite; parsing never panics.
+        #[test]
+        fn parse_then_validate_never_panics(
+            pieces in proptest::collection::vec((0u8..4, 0u16..256, 0usize..64), 0..24),
+        ) {
+            let bytes: Vec<u8> = pieces.into_iter().flat_map(hostile_piece).collect();
+            check_parsed(&String::from_utf8_lossy(&bytes))?;
+        }
+
+        /// Well-formed `key = value` lines with hostile values.
+        #[test]
+        fn hostile_values_are_rejected_or_valid(
+            lines in proptest::collection::vec((0..KEYS.len(), 0..VALUES.len()), 1..4),
+        ) {
+            let text: String = lines
+                .iter()
+                .map(|&(k, v)| format!("{} = {}\n", KEYS[k], VALUES[v]))
+                .collect();
+            check_parsed(&text)?;
+        }
     }
 
     #[test]

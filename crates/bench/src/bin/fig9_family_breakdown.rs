@@ -51,11 +51,9 @@ fn main() {
         let (p50, p99) = outcome
             .metrics
             .family_latency(fam.family)
-            .map(|h| {
-                (
-                    h.percentile(0.5).map_or(0.0, |t| t.as_millis_f64()),
-                    h.percentile(0.99).map_or(0.0, |t| t.as_millis_f64()),
-                )
+            .map(|s| {
+                let ms = |q| s.quantile(q).map_or(0.0, |secs| secs * 1e3);
+                (ms(0.5), ms(0.99))
             })
             .unwrap_or((0.0, 0.0));
         table.row(vec![

@@ -363,24 +363,21 @@ fn render_body(config: &ExperimentConfig, outcome: &RunOutcome) -> String {
             let mut t = TextTable::new(vec![
                 "scope", "served", "p50 (ms)", "p90 (ms)", "p99 (ms)", "max (ms)",
             ]);
-            let row = |t: &mut TextTable, scope: String, h: &proteus_metrics::LatencyHistogram| {
-                let pct = |q: f64| {
-                    h.percentile(q)
-                        .map_or("-".into(), |v| fmt_f(v.as_millis_f64(), 1))
-                };
+            let row = |t: &mut TextTable, scope: String, s: &proteus_metrics::QuantileSketch| {
+                let ms = |secs: Option<f64>| secs.map_or("-".into(), |v| fmt_f(v * 1e3, 1));
                 t.row(vec![
                     scope,
-                    h.count().to_string(),
-                    pct(0.5),
-                    pct(0.9),
-                    pct(0.99),
-                    fmt_f(h.max().as_millis_f64(), 1),
+                    s.count().to_string(),
+                    ms(s.quantile(0.5)),
+                    ms(s.quantile(0.9)),
+                    ms(s.quantile(0.99)),
+                    ms(s.max()),
                 ]);
             };
-            row(&mut t, "all".into(), outcome.metrics.latency_histogram());
+            row(&mut t, "all".into(), &outcome.metrics.latency());
             for f in outcome.metrics.family_summaries() {
-                if let Some(h) = outcome.metrics.family_latency(f.family) {
-                    row(&mut t, f.family.label().to_string(), h);
+                if let Some(s) = outcome.metrics.family_latency(f.family) {
+                    row(&mut t, f.family.label().to_string(), s);
                 }
             }
             t.render()

@@ -60,6 +60,7 @@ pub fn rule_applies(rule: &str, rel: &str) -> bool {
     match rule {
         "no-panic" | "panic-path" => in_any(&[
             "crates/core/src/",
+            "crates/metrics/src/",
             "crates/sim/src/",
             "crates/solver/src/",
             "crates/telemetry/src/",
@@ -77,6 +78,7 @@ pub fn rule_applies(rule: &str, rel: &str) -> bool {
         "hash-iter" => in_any(&["crates/core/src/", "crates/sim/src/", "crates/solver/src/"]),
         "wall-clock" => in_any(&[
             "crates/core/src/",
+            "crates/metrics/src/",
             "crates/sim/src/",
             "crates/telemetry/src/",
         ]),
@@ -85,6 +87,7 @@ pub fn rule_applies(rule: &str, rel: &str) -> bool {
             rel != "crates/solver/src/eps.rs"
                 && in_any(&[
                     "crates/core/src/",
+                    "crates/metrics/src/",
                     "crates/sim/src/",
                     "crates/solver/src/",
                     "crates/telemetry/src/",

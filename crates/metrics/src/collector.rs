@@ -3,6 +3,15 @@
 use proteus_profiler::ModelFamily;
 use proteus_sim::SimTime;
 
+use crate::QuantileSketch;
+
+/// Relative-error bound of the latency sketches: the telemetry plane's
+/// default `sketch_alpha`, so the run summary's percentiles equal the
+/// exposition's.
+const LATENCY_ALPHA: f64 = 0.01;
+/// Grid buckets per latency sketch.
+const LATENCY_BUCKETS: usize = 2048;
+
 /// Counters for one `(interval, family)` cell.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Bucket {
@@ -55,10 +64,9 @@ pub struct MetricsCollector {
     /// simulation records millions of events; direct indexing here replaces
     /// a hash lookup per query event (see DESIGN.md, "Hot path").
     cells: Vec<[Bucket; ModelFamily::COUNT]>,
-    latency: crate::LatencyHistogram,
-    /// Family-indexed; a family with zero recorded latencies is reported
-    /// as absent (matching the sparse-map behaviour this replaced).
-    latency_by_family: Vec<crate::LatencyHistogram>,
+    /// Served latencies in seconds, family-indexed. Each sample is
+    /// recorded once, here; [`latency`](Self::latency) merges the families.
+    latency_by_family: [QuantileSketch; ModelFamily::COUNT],
     end: SimTime,
     /// Row cache: events arrive in near-sorted time order, so consecutive
     /// records almost always land in the same interval. Caching the current
@@ -79,10 +87,9 @@ impl MetricsCollector {
         Self {
             interval,
             cells: Vec::new(),
-            latency: crate::LatencyHistogram::new(),
-            latency_by_family: (0..ModelFamily::COUNT)
-                .map(|_| crate::LatencyHistogram::new())
-                .collect(),
+            latency_by_family: std::array::from_fn(|_| {
+                QuantileSketch::new(LATENCY_ALPHA, LATENCY_BUCKETS)
+            }),
             end: SimTime::ZERO,
             cached_span: (1, 0),
             cached_idx: 0,
@@ -139,8 +146,7 @@ impl MetricsCollector {
     }
 
     /// Like [`record_served`](Self::record_served), additionally recording
-    /// the end-to-end response latency into the aggregate and per-family
-    /// histograms.
+    /// the end-to-end response latency into the family's sketch.
     pub fn record_served_latency(
         &mut self,
         at: SimTime,
@@ -150,21 +156,26 @@ impl MetricsCollector {
         latency: SimTime,
     ) {
         self.record_served(at, family, accuracy, on_time);
-        self.latency.record(latency);
-        self.latency_by_family[family.index()].record(latency);
+        self.latency_by_family[family.index()].record(latency.as_secs_f64());
     }
 
-    /// The aggregate response-latency histogram (populated by
+    /// The response-latency sketch (seconds) over all families: the merge
+    /// of the per-family sketches, which equals one sketch fed every
+    /// sample (populated by
     /// [`record_served_latency`](Self::record_served_latency)).
-    pub fn latency_histogram(&self) -> &crate::LatencyHistogram {
-        &self.latency
+    pub fn latency(&self) -> QuantileSketch {
+        let mut all = QuantileSketch::new(LATENCY_ALPHA, LATENCY_BUCKETS);
+        for family in &self.latency_by_family {
+            all.absorb(family);
+        }
+        all
     }
 
-    /// Per-family response-latency histogram, if the family served any
-    /// latency-recorded query.
-    pub fn family_latency(&self, family: ModelFamily) -> Option<&crate::LatencyHistogram> {
-        let hist = &self.latency_by_family[family.index()];
-        (hist.count() > 0).then_some(hist)
+    /// Per-family response-latency sketch (seconds), if the family served
+    /// any latency-recorded query.
+    pub fn family_latency(&self, family: ModelFamily) -> Option<&QuantileSketch> {
+        let sketch = &self.latency_by_family[family.index()];
+        (sketch.count() > 0).then_some(sketch)
     }
 
     /// Records a dropped query (expired in queue or shed by the system).
@@ -283,17 +294,35 @@ mod tests {
     }
 
     #[test]
-    fn latency_recording_feeds_histograms() {
+    fn latency_recording_feeds_sketches() {
         let mut m = MetricsCollector::new(SimTime::from_secs(1));
         m.record_served_latency(t(10), ModelFamily::ResNet, 0.9, true, t(25));
         m.record_served_latency(t(20), ModelFamily::Bert, 0.8, false, t(75));
-        assert_eq!(m.latency_histogram().count(), 2);
+        assert_eq!(m.latency().count(), 2);
         assert_eq!(m.family_latency(ModelFamily::ResNet).unwrap().count(), 1);
         assert!(m.family_latency(ModelFamily::T5).is_none());
-        assert_eq!(m.latency_histogram().max(), t(75));
+        assert_eq!(m.latency().max(), Some(0.075));
         // The bucket counters are updated too.
         assert_eq!(m.bucket(0).served(), 2);
         assert_eq!(m.bucket(0).served_late, 1);
+    }
+
+    #[test]
+    fn merged_family_sketches_equal_one_sketch_of_every_sample() {
+        let mut m = MetricsCollector::new(SimTime::from_secs(1));
+        let mut single = QuantileSketch::new(LATENCY_ALPHA, LATENCY_BUCKETS);
+        for i in 1..=900u64 {
+            let latency = SimTime::from_micros(i * i * 7 % 2_000_000 + 50);
+            let family = ModelFamily::from_index(i as usize % ModelFamily::COUNT);
+            m.record_served_latency(t(i), family, 1.0, true, latency);
+            single.record(latency.as_secs_f64());
+        }
+        let merged = m.latency();
+        assert_eq!(merged.count(), single.count());
+        assert_eq!(merged.max(), single.max());
+        for q in [0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
+            assert_eq!(merged.quantile(q), single.quantile(q), "q = {q}");
+        }
     }
 
     #[test]

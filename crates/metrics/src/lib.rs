@@ -10,10 +10,13 @@
 //! 4. **SLO violation ratio** — (dropped + late) / total queries.
 //!
 //! [`MetricsCollector`] ingests per-query events from the serving system and
-//! buckets them into fixed intervals; [`RunSummary`] condenses a run into
-//! the four headline metrics (plus per-family breakdowns for Fig. 9); the
-//! [`report`] module renders plain-text tables and CSV for the experiment
-//! binaries.
+//! buckets them into fixed intervals, with served latencies in one
+//! [`QuantileSketch`] per family; [`RunSummary`] condenses a run into the
+//! four headline metrics (plus latency percentiles and per-family
+//! breakdowns for Fig. 9); the [`report`] module renders plain-text tables
+//! and CSV for the experiment binaries. The telemetry plane's registry
+//! uses the same sketch, so the summary's percentiles equal the live
+//! exposition's.
 //!
 //! # Examples
 //!
@@ -35,10 +38,10 @@
 #![forbid(unsafe_code)]
 
 mod collector;
-mod latency;
 pub mod report;
+mod sketch;
 mod summary;
 
 pub use collector::{Bucket, MetricsCollector};
-pub use latency::LatencyHistogram;
+pub use sketch::{Exemplar, QuantileSketch, SketchMismatch};
 pub use summary::{FamilySummary, RunSummary};

@@ -3,7 +3,7 @@
 use proteus_profiler::ModelFamily;
 use proteus_sim::SimTime;
 
-use crate::{Bucket, MetricsCollector};
+use crate::{Bucket, MetricsCollector, QuantileSketch};
 
 /// Minimum served queries a bucket needs before its effective accuracy
 /// contributes to the max-drop statistic; avoids declaring a 20 % "drop"
@@ -41,15 +41,20 @@ pub struct RunSummary {
 
 impl RunSummary {
     /// Builds the summary from a collector, including latency percentiles
-    /// from its histogram.
+    /// from its sketch.
     pub fn from_collector(collector: &MetricsCollector) -> Self {
         let ts = collector.timeseries();
         let mut summary = Self::from_buckets(&ts, collector.interval().as_secs_f64());
-        let h = collector.latency_histogram();
-        summary.latency_p50 = h.percentile(0.50);
-        summary.latency_p95 = h.percentile(0.95);
-        summary.latency_p99 = h.percentile(0.99);
+        summary.set_latency(&collector.latency());
         summary
+    }
+
+    /// Sets the latency percentiles from a sketch of latencies in seconds.
+    fn set_latency(&mut self, sketch: &QuantileSketch) {
+        let at = |q| sketch.quantile(q).map(SimTime::from_secs_f64);
+        self.latency_p50 = at(0.50);
+        self.latency_p95 = at(0.95);
+        self.latency_p99 = at(0.99);
     }
 
     /// Builds the summary from a bucket series with the given bucket width.
@@ -123,10 +128,8 @@ impl FamilySummary {
     pub fn from_collector(collector: &MetricsCollector, family: ModelFamily) -> Option<Self> {
         let ts = collector.family_timeseries(family);
         let mut summary = RunSummary::from_buckets(&ts, collector.interval().as_secs_f64());
-        if let Some(h) = collector.family_latency(family) {
-            summary.latency_p50 = h.percentile(0.50);
-            summary.latency_p95 = h.percentile(0.95);
-            summary.latency_p99 = h.percentile(0.99);
+        if let Some(sketch) = collector.family_latency(family) {
+            summary.set_latency(sketch);
         }
         (summary.total_arrived > 0).then_some(Self { family, summary })
     }
@@ -220,7 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_come_from_the_histogram() {
+    fn percentiles_come_from_the_sketch() {
         let mut m = MetricsCollector::new(SimTime::from_secs(1));
         for i in 1..=100u64 {
             m.record_arrival(t(0), ModelFamily::ResNet);
@@ -233,9 +236,11 @@ mod tests {
             s.latency_p99.unwrap(),
         );
         assert!(p50 <= p95 && p95 <= p99, "{p50:?} {p95:?} {p99:?}");
-        // The histogram buckets are ~9 % wide; allow generous slack.
-        assert!(p50 >= t(40) && p50 <= t(65), "p50 {p50:?}");
-        assert!(p99 >= t(90) && p99 <= t(115), "p99 {p99:?}");
+        // Nearest rank: p50 is the 50th smallest (50 ms), p99 the 99th;
+        // the sketch is within 1 % of both.
+        let within = |est: SimTime, exact: f64| (est.as_millis_f64() - exact).abs() <= 0.01 * exact;
+        assert!(within(p50, 50.0), "p50 {p50:?}");
+        assert!(within(p99, 99.0), "p99 {p99:?}");
         // Per-family percentiles surface through FamilySummary too.
         let fam = FamilySummary::from_collector(&m, ModelFamily::ResNet).unwrap();
         assert_eq!(fam.summary.latency_p99, s.latency_p99);

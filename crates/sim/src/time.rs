@@ -111,6 +111,11 @@ impl SimTime {
         self.0 as f64 / 1e6
     }
 
+    /// Returns `self + other`, or [`SimTime::MAX`] if the sum is past it.
+    pub fn saturating_add(self, other: SimTime) -> SimTime {
+        SimTime(self.0.saturating_add(other.0))
+    }
+
     /// Returns the difference `self - other`, or [`SimTime::ZERO`] if `other`
     /// is later (no negative spans).
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
@@ -211,6 +216,8 @@ mod tests {
         assert_eq!(b * 5, SimTime::from_secs(5));
         assert_eq!(a / 3, SimTime::from_secs(1));
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
+        assert_eq!(a.saturating_add(b), SimTime::from_secs(4));
+        assert_eq!(a.saturating_add(SimTime::MAX), SimTime::MAX);
         assert_eq!(a.max(b), a);
         assert_eq!(a.min(b), b);
         let mut c = a;

@@ -11,11 +11,9 @@
 
 use std::collections::VecDeque;
 
-use proteus_metrics::Bucket;
+use proteus_metrics::{Bucket, QuantileSketch};
 use proteus_profiler::ModelFamily;
 use proteus_sim::SimTime;
-
-use crate::sketch::QuantileSketch;
 
 /// A control-plane phase whose wall time the plane self-profiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

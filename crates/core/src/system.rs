@@ -349,6 +349,11 @@ pub struct HotPathStats {
     pub events_delivered: u64,
     /// High-water mark of pending (live) events in the kernel queue.
     pub peak_event_queue: u64,
+    /// Events the kernel delivered earlier than its clock. Always 0 for a
+    /// correct event queue; counted in every build, unlike the audit,
+    /// which folds it into [`RunOutcome::audit_violations`] only when
+    /// auditing is on.
+    pub time_regressions: u64,
     /// Batch buffers taken from the reuse pool instead of allocated.
     pub batch_buffers_reused: u64,
     /// Batch buffers that had to be freshly allocated.
@@ -687,6 +692,7 @@ impl ServingSystem {
             hot_stats: HotPathStats {
                 events_delivered: sim.delivered(),
                 peak_event_queue: sim.peak_pending() as u64,
+                time_regressions: sim.time_regressions(),
                 batch_buffers_reused: engine.pool_reused,
                 batch_buffers_allocated: engine.pool_alloc,
             },

@@ -87,6 +87,7 @@ fn conservation_holds_under_100_random_fault_schedules() {
             outcome.audit_violations, 0,
             "seed {seed}: plan audit or DES invariant violated"
         );
+        assert_eq!(outcome.hot_stats.time_regressions, 0, "seed {seed}");
         // Online accounting never exceeds the run span.
         let span = horizon + SimTime::from_secs_f64(5.0);
         for (d, stats) in outcome.device_stats.iter().enumerate() {
@@ -129,6 +130,7 @@ fn mid_solve_crashes_conserve_queries_and_discard_stale_plans() {
         // includes the liveness check: no plan referencing a down device
         // was ever committed.
         assert_eq!(outcome.audit_violations, 0, "{latency:?}");
+        assert_eq!(outcome.hot_stats.time_regressions, 0, "{latency:?}");
         assert!(
             outcome.plans_discarded >= 1,
             "{latency:?}: crashes inside solve windows must invalidate \
@@ -178,6 +180,7 @@ fn random_fault_schedules_stay_clean_under_solve_latency() {
             "seed {seed}: conservation violated"
         );
         assert_eq!(outcome.audit_violations, 0, "seed {seed}");
+        assert_eq!(outcome.hot_stats.time_regressions, 0, "seed {seed}");
     }
 }
 

@@ -690,9 +690,15 @@ impl<'a> Parser<'a> {
         } else {
             last.to_string()
         };
+        let thread_builder = segs
+            .windows(2)
+            .any(|w| w[0] == "thread" && w[1] == "Builder");
         let source = match (last2.as_str(), last) {
             ("Instant::now", _) | ("SystemTime::now", _) => Some(SourceKind::WallClock),
-            ("thread::spawn", _) => Some(SourceKind::ThreadSpawn),
+            // `thread::scope` runs a closure whose `Scope::spawn`s finish in
+            // scheduler order; a thread `Builder` exists only to `spawn`.
+            ("thread::spawn" | "thread::scope", _) => Some(SourceKind::ThreadSpawn),
+            _ if thread_builder => Some(SourceKind::ThreadSpawn),
             (_, "thread_rng" | "from_entropy" | "getrandom") => Some(SourceKind::Rng),
             (_, "random") if segs.first().is_some_and(|s| s == "rand") => Some(SourceKind::Rng),
             _ if segs.iter().any(|s| s == "OsRng") => Some(SourceKind::Rng),

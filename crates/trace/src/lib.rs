@@ -11,7 +11,9 @@
 //!
 //! * [`NullSink`] — tracing off (the default);
 //! * [`MemorySink`] — in-memory capture for tests and post-run export;
-//! * [`JsonlSink`] — streams JSON Lines to a file as the run progresses.
+//! * [`JsonlSink`] — streams JSON Lines to a file or any writer as the run
+//!   progresses, encoding events into one reused 64 KiB chunk and writing
+//!   whole chunks (the tail on flush, `finish` or drop).
 //!
 //! On top of the recorded stream sit the offline consumers: a
 //! [Chrome-trace exporter](chrome::export_chrome) (open the result in

@@ -10,6 +10,7 @@
 use proteus_bench::{paper_trace, run_contender, summary_headers, summary_row, Contender};
 use proteus_core::system::SystemConfig;
 use proteus_metrics::report::TextTable;
+use proteus_metrics::RunSummary;
 
 fn ablations() -> Vec<Contender> {
     use proteus_core::batching::{ProteusBatching, StaticBatching};
@@ -69,20 +70,49 @@ fn main() {
     let full = find("Proteus");
     println!("\nShape checks (paper §6.5):");
     println!(
-        "- w/o MS keeps 100% effective accuracy ({:.2}%) but the worst violations ({:.4} vs {:.4})",
-        find("Proteus w/o MS").effective_accuracy_pct(),
-        find("Proteus w/o MS").slo_violation_ratio,
-        full.slo_violation_ratio
+        "- w/o MS keeps 100% effective accuracy ({:.2}%)",
+        find("Proteus w/o MS").effective_accuracy_pct()
     );
-    println!(
-        "- w/o MP suffers the largest max accuracy drop ({:.2}% vs {:.2}%)",
-        find("Proteus w/o MP").max_accuracy_drop_pct(),
-        full.max_accuracy_drop_pct()
-    );
+    worst_claim(&rows, "Proteus w/o MS", "SLO violation ratio", 4, |s| {
+        s.slo_violation_ratio
+    });
+    worst_claim(&rows, "Proteus w/o MP", "max accuracy drop (%)", 2, |s| {
+        s.max_accuracy_drop_pct()
+    });
     println!(
         "- w/o AB and w/o QA raise violations ({:.4} / {:.4} vs {:.4})",
         find("Proteus w/o AB").slo_violation_ratio,
         find("Proteus w/o QA").slo_violation_ratio,
         full.slo_violation_ratio
     );
+}
+
+/// Checks the claim that `claimed` has the highest `metric` of all rows
+/// (Proteus and every ablation), and prints whether it holds and which row
+/// is actually worst.
+fn worst_claim(
+    rows: &[(&str, RunSummary)],
+    claimed: &str,
+    what: &str,
+    digits: usize,
+    metric: fn(&RunSummary) -> f64,
+) {
+    let claimed_value = rows
+        .iter()
+        .find(|(n, _)| *n == claimed)
+        .map(|(_, s)| metric(s))
+        .unwrap();
+    let (worst, worst_value) = rows
+        .iter()
+        .map(|(n, s)| (*n, metric(s)))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .unwrap();
+    let verdict = if claimed_value >= worst_value {
+        format!("holds ({claimed_value:.digits$})")
+    } else {
+        format!(
+            "does not hold ({claimed_value:.digits$}; worst is {worst} at {worst_value:.digits$})"
+        )
+    };
+    println!("- {claimed} has the highest {what}: {verdict}");
 }

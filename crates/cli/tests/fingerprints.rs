@@ -14,14 +14,24 @@
 //!     --faults "crash@300:31; recover@600:31; slow@420-480:25x3.0; loadfail@0.1" | tail -n 1
 //! ```
 //!
-//! `baselines/fig4_kernel_counters.txt` pins the DES kernel's own counters
-//! for the same three runs, one line per setting in the same order: events
-//! delivered, the event-queue high-water mark and the count of events
-//! delivered out of time order (always 0). The fingerprint leaves these
-//! out, so without this pin an event-queue rework could change how many
-//! events a run takes, how deep the queue gets, or pop out of order in a
-//! release build, unnoticed. Regenerate it only after an intentional change
-//! to how the engine schedules events, by pasting the `left` value each
+//! `baselines/fig4_kernel_counters.txt` pins the run's deterministic work
+//! counters for the same three runs, one line per setting in the same
+//! order:
+//!
+//! - the DES kernel's: events delivered, the event-queue high-water mark
+//!   and the count of events delivered out of time order (always 0);
+//! - the batch-buffer pool's: buffers reused and freshly allocated;
+//! - the MILP solver's, summed over every replan: branch-and-bound nodes,
+//!   simplex iterations, warm-started and cold node solves. The solver has
+//!   no wall-clock termination, so these are exact; its wall time is not
+//!   pinned.
+//!
+//! The fingerprint leaves these out, so without this pin an event-queue
+//! rework could change how many events a run takes, how deep the queue
+//! gets, or pop out of order in a release build, and a solver or pooling
+//! change could do more work for the same plans, unnoticed. Regenerate it
+//! only after an intentional change to how the engine schedules events,
+//! pools buffers or searches for plans, by pasting the `left` value each
 //! failing assertion prints.
 
 use proteus_cli::config::ExperimentConfig;
@@ -41,9 +51,20 @@ const SETTINGS: [(&str, &str); 3] = [
 /// The kernel-counter line pinned for one run.
 fn kernel_counters(outcome: &RunOutcome) -> String {
     let hot = &outcome.hot_stats;
+    let solver = &outcome.solver_stats;
     format!(
-        "kernel: events_delivered={} peak_event_queue={} time_regressions={}",
-        hot.events_delivered, hot.peak_event_queue, hot.time_regressions
+        "kernel: events_delivered={} peak_event_queue={} time_regressions={} \
+         batch_buffers_reused={} batch_buffers_allocated={} \
+         solver: nodes={} simplex_iterations={} warm_starts={} cold_solves={}",
+        hot.events_delivered,
+        hot.peak_event_queue,
+        hot.time_regressions,
+        hot.batch_buffers_reused,
+        hot.batch_buffers_allocated,
+        solver.nodes,
+        solver.simplex_iterations,
+        solver.warm_starts,
+        solver.cold_solves
     )
 }
 

@@ -341,8 +341,9 @@ pub struct RunOutcome {
     pub telemetry: Option<TelemetrySummary>,
 }
 
-/// Observational counters from the serving loop's hot path, reported by
-/// `bench_sim_json` and the perf-smoke CI job.
+/// Observational counters from the serving loop's hot path, reported in
+/// `proteus-benchmark`'s per-layer ledger and pinned for the fig4 runs by
+/// the `proteus-cli` `fingerprints` test.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotPathStats {
     /// Events the DES kernel delivered over the run.

@@ -507,6 +507,25 @@ mod tests {
     }
 
     #[test]
+    fn telemetry_step_is_rounded_up_to_whole_monitor_ticks() {
+        // A 1.5 s step seals on the 1 s monitoring ticks, so every 2 s: the
+        // 10 s window must span exactly five of those 2 s steps.
+        let path = std::env::temp_dir().join("proteus_runner_telemetry_step_test.prom");
+        let _ = std::fs::remove_file(&path);
+        let mut cfg: ExperimentConfig = "trace_secs = 40\ntelemetry_step = 1.5".parse().unwrap();
+        cfg.telemetry_out = Some(path.to_string_lossy().into_owned());
+        run_experiment(&cfg);
+        let text = std::fs::read_to_string(&path).expect("exposition file");
+        let _ = std::fs::remove_file(&path);
+        let spans: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("proteus_window_seconds "))
+            .collect();
+        assert!(spans.len() >= 4, "expected four full windows: {spans:?}");
+        assert_eq!(spans[..4], ["10"; 4]);
+    }
+
+    #[test]
     fn telemetry_off_leaves_no_summary() {
         let out = run_experiment(&quick_config(""));
         assert!(out.outcome.telemetry.is_none());

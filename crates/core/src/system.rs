@@ -28,7 +28,7 @@ use proteus_profiler::{
 use proteus_sim::{Actor, EventKey, FaultKind, FaultSchedule, SimTime, Simulation};
 use proteus_solver::SolveStats;
 use proteus_telemetry::registry::DeviceSample;
-use proteus_telemetry::{Phase, TelemetryRuntime};
+use proteus_telemetry::{Phase, Registry, TelemetryRuntime};
 // Re-exported so downstream code can configure the telemetry plane and
 // read its summary without depending on proteus-telemetry directly.
 pub use proteus_telemetry::{TelemetryConfig, TelemetrySummary};
@@ -59,20 +59,14 @@ pub struct SystemConfig {
     pub slo: SloPolicy,
     /// Resource Manager invocation period in seconds (paper: 30 s).
     pub realloc_period_secs: f64,
-    /// Monitoring daemon tick in seconds.
-    pub monitor_period_secs: f64,
     /// Burst trigger: instantaneous demand above this multiple of the
     /// demand the current plan was built for forces an immediate
     /// re-allocation (the monitoring daemon's "burst of requests" call to
     /// the controller, §3).
     pub burst_threshold: f64,
-    /// Minimum spacing between burst-triggered re-allocations, seconds.
-    pub burst_cooldown_secs: f64,
     /// Headroom β applied to observed demand before planning (artifact
     /// default 1.05).
     pub demand_headroom: f64,
-    /// Per-worker queue capacity.
-    pub queue_cap: usize,
     /// Fixed component of the model-swap delay, seconds.
     pub load_base_secs: f64,
     /// Swap delay per GiB of model weights, seconds.
@@ -93,8 +87,6 @@ pub struct SystemConfig {
     /// Demand used for the initial (t = 0) allocation; defaults to the
     /// trace's mean per-family rate.
     pub provision_demand: Option<FamilyMap<f64>>,
-    /// Seconds of drain time after the last arrival before metrics close.
-    pub drain_secs: f64,
     /// §7 extension: hardware scaling working *in tandem* with accuracy
     /// scaling — extra devices can be provisioned (slowly) while accuracy
     /// scaling absorbs the burst. `None` = fixed-size cluster (the paper's
@@ -109,6 +101,7 @@ pub struct SystemConfig {
     /// burn-rate alerts, `--live` dashboard). `None` (the default) keeps
     /// it entirely off: every hook site reduces to one untaken branch and
     /// the event stream is byte-identical to a build without this field.
+    /// The plane's step is rounded up to whole monitoring ticks (1 s).
     pub telemetry: Option<TelemetryConfig>,
     /// How long the control plane takes to produce a plan, in *sim* time
     /// (§6.8 reports ~4.2 s MILP solves against a 30 s planning period).
@@ -253,11 +246,8 @@ impl SystemConfig {
             zoo: ModelZoo::paper_table3(),
             slo: SloPolicy::default(),
             realloc_period_secs: 30.0,
-            monitor_period_secs: 1.0,
             burst_threshold: 1.15,
-            burst_cooldown_secs: 3.0,
             demand_headroom: 1.15,
-            queue_cap: 256,
             load_base_secs: 0.5,
             load_secs_per_gib: 0.5,
             latency_noise_cv: 0.0,
@@ -265,7 +255,6 @@ impl SystemConfig {
             seed: 0,
             audit: false,
             provision_demand: None,
-            drain_secs: 5.0,
             elastic: None,
             faults: FaultSchedule::default(),
             telemetry: None,
@@ -542,7 +531,7 @@ impl ServingSystem {
             "arrivals must be sorted by time"
         );
         let last_at = arrivals.last().map_or(SimTime::ZERO, |a| a.at);
-        let horizon = last_at + SimTime::from_secs_f64(self.config.drain_secs);
+        let horizon = last_at + DRAIN;
 
         let provision = self
             .config
@@ -561,10 +550,7 @@ impl ServingSystem {
             slo_by_family: FamilyMap::from_fn(|f| SimTime::from_millis_f64(self.store.slo_ms(f))),
             routers: Router::from_plan(&AllocationPlan::empty(n)),
             plan: AllocationPlan::empty(n),
-            estimator: DemandEstimator::new(
-                SimTime::from_secs_f64(self.config.monitor_period_secs),
-                0.4,
-            ),
+            estimator: DemandEstimator::new(MONITOR_PERIOD, 0.4),
             rng: StdRng::seed_from_u64(self.config.seed),
             // Dedicated stream: fault draws must not perturb the execution
             // noise sequence, so a fault-free schedule replays identically.
@@ -601,11 +587,14 @@ impl ServingSystem {
                 metrics: MetricsCollector::new(SimTime::from_secs(1)),
                 trace_on: trace.enabled(),
                 trace,
-                telemetry: self
-                    .config
-                    .telemetry
-                    .clone()
-                    .map(|cfg| Box::new(TelemetryRuntime::new(cfg))),
+                telemetry: self.config.telemetry.clone().map(|mut cfg| {
+                    // Steps are sealed on monitoring ticks, so a step is a
+                    // whole number of ticks.
+                    let tick = MONITOR_PERIOD.as_nanos();
+                    cfg.step =
+                        SimTime::from_nanos(cfg.step.as_nanos().div_ceil(tick).max(1) * tick);
+                    Box::new(TelemetryRuntime::new(cfg))
+                }),
                 phase_sample_ctr: [0; Phase::COUNT],
             },
         };
@@ -627,9 +616,8 @@ impl ServingSystem {
         if !arrivals.is_empty() {
             sim.schedule(arrivals[0].at, Event::NextArrival(0));
         }
-        let monitor = SimTime::from_secs_f64(self.config.monitor_period_secs);
-        if monitor <= horizon {
-            sim.schedule(monitor, Event::MonitorTick);
+        if MONITOR_PERIOD <= horizon {
+            sim.schedule(MONITOR_PERIOD, Event::MonitorTick);
         }
         if !engine.allocator.is_static() && !engine.allocator.on_critical_path() {
             let period = SimTime::from_secs_f64(self.config.realloc_period_secs);
@@ -701,6 +689,19 @@ impl ServingSystem {
         }
     }
 }
+
+/// Monitoring daemon tick: the demand estimator rolls, bursts are
+/// detected and the telemetry plane seals on it.
+const MONITOR_PERIOD: SimTime = SimTime::from_secs(1);
+
+/// Minimum spacing between burst-triggered re-allocations.
+const BURST_COOLDOWN: SimTime = SimTime::from_secs(3);
+
+/// Drain time after the last arrival before metrics close.
+const DRAIN: SimTime = SimTime::from_secs(5);
+
+/// Per-worker queue capacity.
+const QUEUE_CAP: usize = 256;
 
 /// Retry budget per query after a device failure: a query that loses its
 /// host this many times is dropped as [`DropReason::DeviceFailed`] instead
@@ -825,8 +826,9 @@ impl<'a> Device<'a> {
 }
 
 /// The engine's one observation fan-out: every arrival, serve and drop is
-/// reported here once and forwarded to the metrics collector, the
-/// telemetry plane and the trace sink.
+/// reported here once and recorded once, in the metrics collector (and
+/// the trace sink). The telemetry plane reads the collector on monitoring
+/// ticks and takes only control-plane hooks of its own.
 struct Observers<'a> {
     metrics: MetricsCollector,
     /// Flight-recorder sink; [`NullSink`] when tracing is off.
@@ -857,9 +859,6 @@ impl Observers<'_> {
     /// Records an arrival.
     fn arrived(&mut self, now: SimTime, q: &Query) {
         self.metrics.record_arrival(now, q.family);
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.on_arrival(q.family);
-        }
         self.emit(now, || EventKind::Arrived {
             query: q.id.0,
             family: q.family,
@@ -872,10 +871,7 @@ impl Observers<'_> {
         let on_time = now <= q.deadline;
         let latency = now.saturating_sub(q.arrived);
         self.metrics
-            .record_served_latency(now, q.family, accuracy, on_time, latency);
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.on_served(q.id.0, q.family, accuracy, on_time, latency);
-        }
+            .record_served_query(now, q.id.0, q.family, accuracy, on_time, latency);
         self.emit(now, || {
             let query = q.id.0;
             if on_time {
@@ -898,13 +894,17 @@ impl Observers<'_> {
     /// Records a dropped query.
     fn dropped(&mut self, now: SimTime, q: &Query, reason: DropReason) {
         self.metrics.record_dropped(now, q.family);
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.on_dropped(q.family);
-        }
         self.emit(now, || EventKind::Dropped {
             query: q.id.0,
             reason,
         });
+    }
+
+    /// The telemetry registry, when the plane is on.
+    fn registry(&mut self) -> Option<&mut Registry> {
+        self.telemetry
+            .as_deref_mut()
+            .map(TelemetryRuntime::registry_mut)
     }
 
     /// Starts a control-plane self-profiling timer — `None` (free) when
@@ -917,8 +917,7 @@ impl Observers<'_> {
     /// the sampled duration back up.
     #[inline]
     fn phase_start(&mut self, phase: Phase) -> Option<std::time::Instant> {
-        let t = self.telemetry.as_deref_mut()?;
-        t.on_phase_call(phase);
+        self.registry()?.on_phase_call(phase);
         let ctr = &mut self.phase_sample_ctr[phase.index()];
         *ctr = ctr.wrapping_add(1);
         if *ctr & ((1u32 << phase.sample_log2()) - 1) == 0 {
@@ -934,23 +933,45 @@ impl Observers<'_> {
     /// Closes a [`phase_start`](Self::phase_start) timer into the registry.
     #[inline]
     fn phase_end(&mut self, phase: Phase, t0: Option<std::time::Instant>) {
-        if let (Some(t), Some(t0)) = (self.telemetry.as_deref_mut(), t0) {
-            t.on_phase_nanos(
+        if let (Some(r), Some(t0)) = (self.registry(), t0) {
+            r.on_phase_nanos(
                 phase,
                 (t0.elapsed().as_nanos() as u64) << phase.sample_log2(),
             );
         }
     }
 
+    /// Books a replan's solve wall time and its plan application.
+    fn replanned(&mut self, wall_secs: f64) {
+        if let Some(r) = self.registry() {
+            r.on_phase(Phase::Solve, (wall_secs * 1e9) as u64);
+            r.on_reallocation();
+        }
+    }
+
+    /// The control plane opened a solve window at `now`.
+    fn solve_started(&mut self, now: SimTime) {
+        if let Some(r) = self.registry() {
+            r.on_solve_started(now);
+        }
+    }
+
+    /// The in-flight solve committed or was discarded at `now`.
+    fn solve_resolved(&mut self, now: SimTime) {
+        if let Some(r) = self.registry() {
+            r.on_solve_resolved(now);
+        }
+    }
+
     /// Drives the telemetry plane on the monitoring cadence: the registry
-    /// seals a step, the burn engine scans it, and any alert transitions
-    /// become first-class trace events.
+    /// seals a step of what the collector recorded, the burn engine scans
+    /// it, and any alert transitions become first-class trace events.
     fn tick(&mut self, now: SimTime, devices: &[Device<'_>]) {
         let Some(t) = self.telemetry.as_deref_mut() else {
             return;
         };
         let samples: Vec<_> = devices.iter().map(Device::sample).collect();
-        for tr in t.tick(now, &samples) {
+        for tr in t.tick(now, &samples, &self.metrics) {
             self.emit(tr.at, || {
                 if tr.fired {
                     EventKind::AlertFired {
@@ -978,7 +999,7 @@ impl Observers<'_> {
     fn finish(&mut self, now: SimTime, devices: &[Device<'_>]) -> Option<TelemetrySummary> {
         let mut t = self.telemetry.take()?;
         let samples: Vec<_> = devices.iter().map(Device::sample).collect();
-        Some(t.finish(now, &samples))
+        Some(t.finish(now, &samples, &self.metrics))
     }
 }
 
@@ -1076,7 +1097,7 @@ impl Engine<'_> {
     fn add_device(&mut self, spec: DeviceSpec, now: SimTime) {
         let policy = self.batching_proto.clone_box();
         self.devices.push(Device {
-            worker: Worker::new(spec, policy, self.config.queue_cap),
+            worker: Worker::new(spec, policy, QUEUE_CAP),
             profile: None,
             lat_table: Vec::new(),
             stats: DeviceStats::default(),
@@ -1555,9 +1576,7 @@ impl Engine<'_> {
                 let until = now.saturating_add(delta);
                 self.obs
                     .emit(now, || EventKind::SolveStarted { cause, until });
-                if let Some(t) = self.obs.telemetry.as_deref_mut() {
-                    t.on_solve_started(now);
-                }
+                self.obs.solve_started(now);
                 // A window that saturates the clock outlasts the run: its
                 // plan never commits.
                 if until < SimTime::MAX {
@@ -1605,9 +1624,8 @@ impl Engine<'_> {
         let plan = self.allocator.allocate(&ctx, &demand, previous, now);
         let wall_secs = start.elapsed().as_secs_f64();
         self.allocator_wall_secs += wall_secs;
-        if let Some(t) = self.obs.telemetry.as_deref_mut().filter(|_| !initial) {
-            t.on_phase(Phase::Solve, (wall_secs * 1e9) as u64);
-            t.on_reallocation();
+        if !initial {
+            self.obs.replanned(wall_secs);
         }
         if let Some(stats) = self.allocator.last_solve_stats() {
             self.solver_stats += stats;
@@ -1736,9 +1754,7 @@ impl Engine<'_> {
             cause,
             reason: proteus_trace::DiscardReason::Liveness,
         });
-        if let Some(t) = self.obs.telemetry.as_deref_mut() {
-            t.on_solve_resolved(now);
-        }
+        self.obs.solve_resolved(now);
     }
 
     /// Discards the in-flight solve (if any) because the device liveness
@@ -2013,8 +2029,7 @@ impl Actor for Engine<'_> {
                         // Burst detection (monitoring daemon → controller):
                         // demand outgrowing what the plan was built for.
                         let inst = self.estimator.instantaneous();
-                        let cooldown = SimTime::from_secs_f64(self.config.burst_cooldown_secs);
-                        let calm = now.saturating_sub(self.last_realloc) >= cooldown;
+                        let calm = now.saturating_sub(self.last_realloc) >= BURST_COOLDOWN;
                         let bursty = inst.iter().any(|(f, &rate)| {
                             let planned = self.planned_for[f].max(1.0);
                             // Relative growth plus a 3-sigma Poisson guard
@@ -2030,7 +2045,7 @@ impl Actor for Engine<'_> {
                     }
                 }
                 self.obs.tick(now, &self.devices);
-                let next = now + SimTime::from_secs_f64(self.config.monitor_period_secs);
+                let next = now + MONITOR_PERIOD;
                 if next <= self.horizon {
                     sim.schedule(next, Event::MonitorTick);
                 }
@@ -2064,9 +2079,7 @@ impl Actor for Engine<'_> {
                 }
                 self.obs
                     .emit(now, || EventKind::SolveComplete { cause: p.cause });
-                if let Some(t) = self.obs.telemetry.as_deref_mut() {
-                    t.on_solve_resolved(now);
-                }
+                self.obs.solve_resolved(now);
                 self.commit_plan(p, now, sim);
                 // Triggers that coalesced mid-window get their re-solve
                 // now, against demand observed at this instant.

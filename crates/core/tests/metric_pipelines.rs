@@ -1,14 +1,15 @@
-//! Differential check of the two metric pipelines fed from the serving
-//! loop's hooks: the batch-oriented [`MetricsCollector`] behind
-//! `RunOutcome::metrics`, and the telemetry plane's windowed `Registry`
-//! behind the Prometheus exposition.
+//! The serving loop records every query once, in the
+//! [`MetricsCollector`] behind `RunOutcome::metrics`; the telemetry plane's
+//! Prometheus exposition renders that collector.
 //!
 //! One fault-scripted run is recorded with telemetry writing an exposition
-//! file and with a [`MemorySink`]. The last exposition page must agree with
-//! the collector exactly on every per-family flow counter and on the latency
-//! quantiles (both pipelines use one `QuantileSketch` type), and those
-//! quantiles must sit within the sketch's relative error of the exact
-//! percentiles of the traced serve latencies.
+//! file and with a [`MemorySink`]. The last exposition page must render the
+//! collector exactly: every per-family flow counter, the latency count, and
+//! the latency quantiles the run summary reports. Those quantiles must sit
+//! within the sketch's relative error α of the exact percentiles of the
+//! traced serve latencies. The same run with telemetry off must yield the
+//! same summaries, replan log, hot-path counters, device statistics and
+//! solver counters: observing a run never changes it.
 //!
 //! [`MetricsCollector`]: proteus_metrics::MetricsCollector
 
@@ -16,15 +17,14 @@ use std::collections::BTreeMap;
 
 use proteus_core::batching::ProteusBatching;
 use proteus_core::schedulers::ProteusAllocator;
-use proteus_core::system::{ServingSystem, SolveLatency, SystemConfig, TelemetryConfig};
+use proteus_core::system::{
+    ReplanRecord, RunOutcome, ServingSystem, SolveLatency, SystemConfig, TelemetryConfig,
+};
+use proteus_metrics::LATENCY_ALPHA;
 use proteus_profiler::ModelFamily;
 use proteus_sim::SimTime;
 use proteus_trace::{EventKind, MemorySink};
-use proteus_workloads::{BurstyTrace, TraceBuilder};
-
-/// The latency sketch's relative-error bound (the telemetry default
-/// `sketch_alpha`, and the collector's).
-const SKETCH_ALPHA: f64 = 0.01;
+use proteus_workloads::{BurstyTrace, QueryArrival, TraceBuilder};
 
 /// The samples of the last page of a Prometheus exposition file, keyed by
 /// the sample's name plus label set exactly as written (`name{labels}`).
@@ -52,6 +52,36 @@ fn exact_quantile(xs: &[f64], q: f64) -> f64 {
     xs[rank - 1]
 }
 
+/// Runs the fault-scripted bursty workload with `telemetry` into `sink`.
+fn run(
+    arrivals: &[QueryArrival],
+    telemetry: Option<TelemetryConfig>,
+    sink: &mut MemorySink,
+) -> RunOutcome {
+    let mut config = SystemConfig::small();
+    config.solve_latency = SolveLatency::Model;
+    config.realloc_period_secs = 5.0;
+    config.faults = "crash@8:7; recover@18:7; slow@12-20:3x3.0; loadfail@0.1"
+        .parse()
+        .expect("fault script parses");
+    config.telemetry = telemetry;
+    ServingSystem::new(
+        config,
+        Box::new(ProteusAllocator::default()),
+        Box::new(ProteusBatching),
+    )
+    .run_traced(arrivals, sink)
+}
+
+/// A replan record without its allocator wall time, which differs
+/// between any two runs.
+fn simulated(r: &ReplanRecord) -> ReplanRecord {
+    ReplanRecord {
+        wall_secs: 0.0,
+        ..*r
+    }
+}
+
 #[test]
 fn exposition_and_collector_agree_on_a_fault_scripted_run() {
     let arrivals = TraceBuilder::new(TraceBuilder::paper_families())
@@ -67,23 +97,12 @@ fn exposition_and_collector_agree_on_a_fault_scripted_run() {
         "proteus-metric-pipelines-{}.prom",
         std::process::id()
     ));
-    let mut config = SystemConfig::small();
-    config.solve_latency = SolveLatency::Model;
-    config.realloc_period_secs = 5.0;
-    config.faults = "crash@8:7; recover@18:7; slow@12-20:3x3.0; loadfail@0.1"
-        .parse()
-        .expect("fault script parses");
-    config.telemetry = Some(TelemetryConfig {
+    let telemetry = TelemetryConfig {
         expo_path: Some(expo.clone()),
         ..TelemetryConfig::default()
-    });
+    };
     let mut sink = MemorySink::new();
-    let outcome = ServingSystem::new(
-        config,
-        Box::new(ProteusAllocator::default()),
-        Box::new(ProteusBatching),
-    )
-    .run_traced(&arrivals, &mut sink);
+    let outcome = run(&arrivals, Some(telemetry), &mut sink);
     let text = std::fs::read_to_string(&expo).expect("exposition file written");
     let _ = std::fs::remove_file(&expo);
     let page = last_page(&text);
@@ -151,8 +170,8 @@ fn exposition_and_collector_agree_on_a_fault_scripted_run() {
         );
     }
 
-    // Latency: one sketch behind both pipelines, against the exact traced
-    // distribution.
+    // Latency: the collector's sketch behind both the page and the
+    // summary, against the exact traced distribution.
     let mut latencies: Vec<f64> = sink
         .events()
         .iter()
@@ -184,8 +203,31 @@ fn exposition_and_collector_agree_on_a_fault_scripted_run() {
         );
         let summarized = summarized.map_or(f64::NAN, SimTime::as_secs_f64);
         assert!(
-            (summarized - exact).abs() <= SKETCH_ALPHA * exact + 1e-9,
+            (summarized - exact).abs() <= LATENCY_ALPHA * exact + 1e-9,
             "p{label}: summary {summarized} vs exact {exact}"
         );
     }
+
+    // The same run unobserved: telemetry changes nothing it reports on.
+    let plain = run(&arrivals, None, &mut MemorySink::new());
+    assert!(plain.telemetry.is_none());
+    assert_eq!(plain.metrics.summary(), summary);
+    assert_eq!(plain.metrics.family_summaries(), families);
+    assert_eq!(
+        plain.replan_log.iter().map(simulated).collect::<Vec<_>>(),
+        outcome.replan_log.iter().map(simulated).collect::<Vec<_>>()
+    );
+    assert_eq!(plain.hot_stats, outcome.hot_stats);
+    assert_eq!(plain.device_stats, outcome.device_stats);
+    let counts = |o: &RunOutcome| {
+        let s = o.solver_stats;
+        (
+            s.nodes,
+            s.pruned,
+            s.simplex_iterations,
+            s.warm_starts,
+            s.cold_solves,
+        )
+    };
+    assert_eq!(counts(&plain), counts(&outcome));
 }

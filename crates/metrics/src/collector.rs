@@ -1,16 +1,17 @@
-//! Event ingestion and interval bucketing.
+//! Event ingestion and interval bucketing: the run's one record of every
+//! arrival, serve and drop. The telemetry plane reads its rows and
+//! latency sketches instead of recording queries itself.
 
 use proteus_profiler::ModelFamily;
 use proteus_sim::SimTime;
 
 use crate::QuantileSketch;
 
-/// Relative-error bound of the latency sketches: the telemetry plane's
-/// default `sketch_alpha`, so the run summary's percentiles equal the
-/// exposition's.
-const LATENCY_ALPHA: f64 = 0.01;
+/// Relative-error bound of every latency sketch of a run, the telemetry
+/// plane's included.
+pub const LATENCY_ALPHA: f64 = 0.01;
 /// Grid buckets per latency sketch.
-const LATENCY_BUCKETS: usize = 2048;
+pub const LATENCY_BUCKETS: usize = 2048;
 
 /// Counters for one `(interval, family)` cell.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -64,8 +65,9 @@ pub struct MetricsCollector {
     /// simulation records millions of events; direct indexing here replaces
     /// a hash lookup per query event (see DESIGN.md, "Hot path").
     cells: Vec<[Bucket; ModelFamily::COUNT]>,
-    /// Served latencies in seconds, family-indexed. Each sample is
-    /// recorded once, here; [`latency`](Self::latency) merges the families.
+    /// Served latencies in seconds, family-indexed, with exemplars. Each
+    /// sample is recorded once, here; [`latency`](Self::latency) merges
+    /// the families.
     latency_by_family: [QuantileSketch; ModelFamily::COUNT],
     end: SimTime,
     /// Row cache: events arrive in near-sorted time order, so consecutive
@@ -88,7 +90,7 @@ impl MetricsCollector {
             interval,
             cells: Vec::new(),
             latency_by_family: std::array::from_fn(|_| {
-                QuantileSketch::new(LATENCY_ALPHA, LATENCY_BUCKETS)
+                QuantileSketch::new(LATENCY_ALPHA, LATENCY_BUCKETS).with_exemplars()
             }),
             end: SimTime::ZERO,
             cached_span: (1, 0),
@@ -159,10 +161,27 @@ impl MetricsCollector {
         self.latency_by_family[family.index()].record(latency.as_secs_f64());
     }
 
+    /// Like [`record_served_latency`](Self::record_served_latency), also
+    /// keeping `query` as its latency bucket's exemplar when that bucket
+    /// is among the family sketch's highest.
+    pub fn record_served_query(
+        &mut self,
+        at: SimTime,
+        query: u64,
+        family: ModelFamily,
+        accuracy: f64,
+        on_time: bool,
+        latency: SimTime,
+    ) {
+        self.record_served(at, family, accuracy, on_time);
+        self.latency_by_family[family.index()].record_exemplar(latency.as_secs_f64(), query);
+    }
+
     /// The response-latency sketch (seconds) over all families: the merge
     /// of the per-family sketches, which equals one sketch fed every
-    /// sample (populated by
-    /// [`record_served_latency`](Self::record_served_latency)).
+    /// sample. It carries the exemplars of the highest buckets across
+    /// families; where two families hold the same bucket, the later
+    /// family's exemplar wins.
     pub fn latency(&self) -> QuantileSketch {
         let mut all = QuantileSketch::new(LATENCY_ALPHA, LATENCY_BUCKETS);
         for family in &self.latency_by_family {
@@ -305,6 +324,28 @@ mod tests {
         // The bucket counters are updated too.
         assert_eq!(m.bucket(0).served(), 2);
         assert_eq!(m.bucket(0).served_late, 1);
+    }
+
+    #[test]
+    fn served_queries_become_exemplars() {
+        let mut m = MetricsCollector::new(SimTime::from_secs(1));
+        m.record_served_query(t(10), 7, ModelFamily::ResNet, 0.9, true, t(25));
+        m.record_served_query(t(20), 8, ModelFamily::Bert, 0.8, false, t(75));
+        // The plain record keeps no exemplar.
+        m.record_served_latency(t(30), ModelFamily::Bert, 0.8, true, t(900));
+        let all = m.latency();
+        assert_eq!(all.count(), 3);
+        assert_eq!(all.exemplar_for(0.0).unwrap().query, 7);
+        assert_eq!(all.exemplar_for(1.0).unwrap().query, 8);
+        assert_eq!(m.bucket(0).served(), 3);
+        assert_eq!(
+            m.family_latency(ModelFamily::ResNet)
+                .unwrap()
+                .exemplar_for(1.0)
+                .unwrap()
+                .query,
+            7
+        );
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //! 4. **SLO violation ratio** — (dropped + late) / total queries.
 //!
 //! [`MetricsCollector`] ingests per-query events from the serving system and
-//! buckets them into fixed intervals, with served latencies in one
-//! [`QuantileSketch`] per family; [`RunSummary`] condenses a run into the
-//! four headline metrics (plus latency percentiles and per-family
-//! breakdowns for Fig. 9); the [`report`] module renders plain-text tables
-//! and CSV for the experiment binaries. The telemetry plane's registry
-//! uses the same sketch, so the summary's percentiles equal the live
-//! exposition's.
+//! buckets them into fixed intervals, with served latencies (and the query
+//! ids of the slowest, as exemplars) in one [`QuantileSketch`] per family;
+//! [`RunSummary`] condenses a run into the four headline metrics (plus
+//! latency percentiles and per-family breakdowns for Fig. 9); the
+//! [`report`] module renders plain-text tables and CSV for the experiment
+//! binaries. The collector is the run's only per-query record: the
+//! telemetry plane's windows, counters and latency exposition are read
+//! from it, so the summary's percentiles equal the live exposition's.
 //!
 //! # Examples
 //!
@@ -42,6 +43,6 @@ pub mod report;
 mod sketch;
 mod summary;
 
-pub use collector::{Bucket, MetricsCollector};
+pub use collector::{Bucket, MetricsCollector, LATENCY_ALPHA, LATENCY_BUCKETS};
 pub use sketch::{Exemplar, QuantileSketch, SketchMismatch};
 pub use summary::{FamilySummary, RunSummary};

@@ -58,9 +58,11 @@ pub struct QuantileSketch {
     sum: f64,
     min: f64,
     max: f64,
-    /// Whether [`record_exemplar`](Self::record_exemplar) retains
-    /// exemplars (off by default so plain sketches carry no extra state).
-    keep_exemplars: bool,
+    /// The lowest grid key [`record_exemplar`](Self::record_exemplar)
+    /// may retain: `i64::MAX` while exemplar tracking is off (the default,
+    /// so plain sketches keep none), `i64::MIN` until the store is full,
+    /// then the store's lowest key.
+    exemplar_floor: i64,
     /// Retained exemplars, sorted ascending by grid key; at most
     /// [`EXEMPLAR_KEYS`] entries, always the highest keys seen so far.
     exemplars: Vec<(i64, Exemplar)>,
@@ -83,7 +85,7 @@ impl QuantileSketch {
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            keep_exemplars: false,
+            exemplar_floor: i64::MAX,
             exemplars: Vec::new(),
         }
     }
@@ -92,7 +94,7 @@ impl QuantileSketch {
     /// [`record_exemplar`](Self::record_exemplar) will keep the latest
     /// query landing in each of the top `EXEMPLAR_KEYS` (8) grid buckets.
     pub fn with_exemplars(mut self) -> Self {
-        self.keep_exemplars = true;
+        self.exemplar_floor = i64::MIN;
         self
     }
 
@@ -157,13 +159,17 @@ impl QuantileSketch {
     /// Records one value attributed to a query, retaining it as the
     /// bucket's exemplar when exemplar tracking is on. Identical to
     /// [`record`](Self::record) otherwise.
+    #[inline]
     pub fn record_exemplar(&mut self, v: f64, query: u64) {
         // Non-finite values land in the zero bucket, which keeps no
         // exemplar.
         let Some(key) = self.record_keyed(v) else {
             return;
         };
-        if !self.keep_exemplars {
+        // Tracking is off, or the store is full and `key` is below its
+        // lowest key: it would be inserted at the bottom and evicted
+        // straight away.
+        if key < self.exemplar_floor {
             return;
         }
         match self.exemplars.binary_search_by_key(&key, |&(k, _)| k) {
@@ -177,6 +183,9 @@ impl QuantileSketch {
                     // Evict the lowest key — mirrors the grid's policy of
                     // sacrificing the low tail to protect upper quantiles.
                     self.exemplars.remove(0);
+                }
+                if self.exemplars.len() == EXEMPLAR_KEYS {
+                    self.exemplar_floor = self.exemplars[0].0;
                 }
             }
         }
@@ -312,7 +321,6 @@ impl QuantileSketch {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         if !other.exemplars.is_empty() {
-            self.keep_exemplars = true;
             for &(k, e) in &other.exemplars {
                 match self.exemplars.binary_search_by_key(&k, |&(key, _)| key) {
                     Ok(i) => self.exemplars[i].1 = e,
@@ -322,6 +330,10 @@ impl QuantileSketch {
             while self.exemplars.len() > EXEMPLAR_KEYS {
                 self.exemplars.remove(0);
             }
+            self.exemplar_floor = match self.exemplars.first() {
+                Some(&(low, _)) if self.exemplars.len() == EXEMPLAR_KEYS => low,
+                _ => i64::MIN,
+            };
         }
     }
 }
@@ -477,6 +489,40 @@ mod tests {
         // Zero-bucket observations never become exemplars.
         on.record_exemplar(0.0, 9);
         assert_eq!(on.exemplar_for(1.0).unwrap().query, 8);
+    }
+
+    /// The exemplar update without the full-store early return: insert,
+    /// then evict the lowest key once the store overflows.
+    fn insert_then_evict(store: &mut Vec<(i64, Exemplar)>, key: i64, e: Exemplar) {
+        match store.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => store[i].1 = e,
+            Err(i) => {
+                store.insert(i, (key, e));
+                if store.len() > EXEMPLAR_KEYS {
+                    store.remove(0);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Skipping keys below a full store's lowest key retains the same
+        /// exemplars as inserting and evicting them.
+        #[test]
+        fn early_return_keeps_the_insert_evict_exemplars(
+            stream in proptest::collection::vec((0u64..5_000, 0u64..1_000), 0..400),
+        ) {
+            let mut sketch = QuantileSketch::new(0.01, 2048).with_exemplars();
+            let mut reference = Vec::new();
+            for &(tenth_ms, query) in &stream {
+                let v = tenth_ms as f64 * 1e-4;
+                sketch.record_exemplar(v, query);
+                if v > MIN_TRACKABLE {
+                    insert_then_evict(&mut reference, sketch.key(v), Exemplar { query, value: v });
+                }
+            }
+            proptest::prop_assert_eq!(sketch.exemplars, reference);
+        }
     }
 
     #[test]

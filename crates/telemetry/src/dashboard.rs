@@ -8,11 +8,12 @@
 use std::collections::VecDeque;
 
 use proteus_metrics::report::sparkline;
+use proteus_metrics::MetricsCollector;
 use proteus_profiler::ModelFamily;
 use proteus_trace::AlertSeverity;
 
 use crate::burn::BurnEngine;
-use crate::registry::{Registry, WindowView};
+use crate::registry::WindowView;
 
 /// How many windows of history the strips keep.
 const HISTORY: usize = 48;
@@ -51,8 +52,14 @@ impl Dashboard {
         Self::default()
     }
 
-    /// Absorbs the window that just closed and renders the next frame.
-    pub fn render(&mut self, registry: &Registry, burn: &BurnEngine, view: &WindowView) -> String {
+    /// Absorbs the window that just closed and renders the next frame;
+    /// the latency percentiles are `collector`'s, since run start.
+    pub fn render(
+        &mut self,
+        collector: &MetricsCollector,
+        burn: &BurnEngine,
+        view: &WindowView,
+    ) -> String {
         let total = view.total();
         let span = view.span_secs();
         let arrival = total.arrived as f64 / span;
@@ -91,7 +98,7 @@ impl Dashboard {
             occupied.iter().sum::<f64>() / occupied.len() as f64
         };
 
-        let lat = registry.latency();
+        let lat = collector.latency();
         let shortest = burn
             .rules()
             .iter()
@@ -194,23 +201,35 @@ impl Dashboard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Registry;
     use proteus_sim::SimTime;
 
     #[test]
     fn frame_contains_header_strips_and_families() {
-        let mut reg = Registry::new(SimTime::from_secs(10), SimTime::from_secs(1), 0.01);
+        let mut reg = Registry::new(SimTime::from_secs(10), SimTime::from_secs(1));
+        let mut metrics = MetricsCollector::new(SimTime::from_secs(1));
         let mut burn = BurnEngine::new(0.95, Vec::new(), SimTime::from_secs(1));
         let mut dash = Dashboard::new();
         for s in 1..=3u64 {
-            for _ in 0..10 {
-                reg.on_arrival(ModelFamily::YoloV5);
-                reg.on_served(1, ModelFamily::YoloV5, 0.91, true, SimTime::from_millis(30));
+            for i in 0..10 {
+                let at = SimTime::from_millis((s - 1) * 1000 + 50 * i);
+                let latency = SimTime::from_millis(30);
+                metrics.record_arrival(at, ModelFamily::YoloV5);
+                metrics.record_served_query(
+                    at + latency,
+                    i,
+                    ModelFamily::YoloV5,
+                    0.91,
+                    true,
+                    latency,
+                );
             }
-            let flows = reg.seal_step(SimTime::from_secs(s), &[]);
+            let flows = reg.seal_step(SimTime::from_secs(s), &[], &metrics);
             burn.push_step(SimTime::from_secs(s), &flows);
         }
         let view = reg.window().unwrap();
-        let frame = dash.render(&reg, &burn, &view);
+        let frame = dash.render(&metrics, &burn, &view);
+        assert!(frame.contains("p50/p90/p99 30/30/30 ms"), "{frame}");
         assert!(frame.contains("PROTEUS LIVE"));
         assert!(frame.contains("YOLOv5"));
         assert!(frame.contains("arrivals"));

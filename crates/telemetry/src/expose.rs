@@ -5,10 +5,13 @@
 //! Pages are separated by a `# page` marker comment — plain comments are
 //! ignored by Prometheus parsers, so a single page is also a valid
 //! scrape body. Counters are cumulative since run start (never reset),
-//! gauges describe the window that just closed.
+//! gauges describe the window that just closed. The query counters and
+//! the latency summary are read from the run's [`MetricsCollector`] when
+//! the page is rendered.
 
 use std::fmt::Write as _;
 
+use proteus_metrics::{Bucket, MetricsCollector};
 use proteus_profiler::ModelFamily;
 use proteus_sim::SimTime;
 
@@ -56,7 +59,8 @@ impl Page {
         let _ = writeln!(self.out, "# TYPE {name} {kind}");
     }
 
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
+    /// Writes a series name and its label set.
+    fn series(&mut self, name: &str, labels: &[(&str, &str)]) {
         self.out.push_str(name);
         if !labels.is_empty() {
             self.out.push('{');
@@ -68,6 +72,10 @@ impl Page {
             }
             self.out.push('}');
         }
+    }
+
+    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
+        self.series(name, labels);
         let _ = writeln!(self.out, " {}", num(value));
     }
 
@@ -84,17 +92,7 @@ impl Page {
         query: u64,
         observed: f64,
     ) {
-        self.out.push_str(name);
-        if !labels.is_empty() {
-            self.out.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    self.out.push(',');
-                }
-                let _ = write!(self.out, "{k}=\"{}\"", escape_label(v));
-            }
-            self.out.push('}');
-        }
+        self.series(name, labels);
         let _ = writeln!(
             self.out,
             " {} # {{query_id=\"{query}\"}} {}",
@@ -104,10 +102,22 @@ impl Page {
     }
 }
 
+/// Per-family flows `collector` recorded since run start.
+fn totals(collector: &MetricsCollector) -> [Bucket; ModelFamily::COUNT] {
+    let mut out = [Bucket::default(); ModelFamily::COUNT];
+    for row in 0..collector.num_buckets() {
+        for f in ModelFamily::ALL {
+            out[f.index()].merge(&collector.family_bucket(row, f));
+        }
+    }
+    out
+}
+
 /// Renders one exposition page for the window that just closed.
 pub fn render_page(
     page_no: u64,
     registry: &Registry,
+    collector: &MetricsCollector,
     burn: &BurnEngine,
     view: &WindowView,
 ) -> String {
@@ -134,13 +144,14 @@ pub fn render_page(
     p.sample("proteus_window_seconds", &[], view.span_secs());
 
     // Cumulative per-family counters.
+    let totals = totals(collector);
     p.help_type(
         "proteus_queries_arrived_total",
         "counter",
         "Queries arrived since run start.",
     );
     for f in ModelFamily::ALL {
-        let c = registry.totals()[f.index()];
+        let c = totals[f.index()];
         p.sample(
             "proteus_queries_arrived_total",
             &[("family", f.label())],
@@ -153,7 +164,7 @@ pub fn render_page(
         "Queries served since run start, by SLO outcome.",
     );
     for f in ModelFamily::ALL {
-        let c = registry.totals()[f.index()];
+        let c = totals[f.index()];
         p.sample(
             "proteus_queries_served_total",
             &[("family", f.label()), ("outcome", "on_time")],
@@ -171,7 +182,7 @@ pub fn render_page(
         "Queries dropped since run start.",
     );
     for f in ModelFamily::ALL {
-        let c = registry.totals()[f.index()];
+        let c = totals[f.index()];
         p.sample(
             "proteus_queries_dropped_total",
             &[("family", f.label())],
@@ -311,7 +322,7 @@ pub fn render_page(
     }
 
     // Latency summary from the quantile sketch.
-    let lat = registry.latency();
+    let lat = collector.latency();
     p.help_type(
         "proteus_latency_seconds",
         "summary",
@@ -493,7 +504,8 @@ mod tests {
 
     #[test]
     fn page_renders_help_type_and_samples() {
-        let mut reg = Registry::new(SimTime::from_secs(10), SimTime::from_secs(1), 0.01);
+        let mut reg = Registry::new(SimTime::from_secs(10), SimTime::from_secs(1));
+        let mut metrics = MetricsCollector::new(SimTime::from_secs(1));
         let mut burn = BurnEngine::new(
             0.95,
             vec![crate::burn::BurnRule {
@@ -504,8 +516,9 @@ mod tests {
             }],
             SimTime::from_secs(1),
         );
-        reg.on_arrival(ModelFamily::ResNet);
-        reg.on_served(
+        metrics.record_arrival(SimTime::from_millis(100), ModelFamily::ResNet);
+        metrics.record_served_query(
+            SimTime::from_millis(140),
             42,
             ModelFamily::ResNet,
             0.95,
@@ -515,10 +528,11 @@ mod tests {
         let flows = reg.seal_step(
             SimTime::from_secs(1),
             &[crate::registry::DeviceSample::default()],
+            &metrics,
         );
         burn.push_step(SimTime::from_secs(1), &flows);
         let view = reg.window().unwrap();
-        let page = render_page(1, &reg, &burn, &view);
+        let page = render_page(1, &reg, &metrics, &burn, &view);
         assert!(page.starts_with("# page 1 sim_seconds 1"));
         assert!(page.contains("# TYPE proteus_queries_arrived_total counter"));
         assert!(page.contains("proteus_queries_arrived_total{family=\"ResNet\"} 1"));

@@ -6,14 +6,18 @@
 //! simulated time — the only real-time code is the optional HTTP scrape
 //! listener.
 //!
+//! The plane records no queries of its own. The serving loop records each
+//! query once, in the run's [`proteus_metrics::MetricsCollector`]; every
+//! monitoring tick hands the collector to the plane, which reads the
+//! per-family flows, cumulative counters and latency sketch from it.
+//!
 //! The pieces, bottom-up:
 //!
-//! * [`Registry`] — typed counters, gauges and latency sketches
-//!   ([`proteus_metrics::QuantileSketch`]) with sliding-window
-//!   aggregation (configurable window/step) over the serving loop's
-//!   signals: per-family arrival/served/dropped rates, effective
-//!   accuracy, queue depths, per-device utilization and batch occupancy,
-//!   and per-phase control-plane self-profiling;
+//! * [`Registry`] — sliding-window aggregation (configurable
+//!   window/step) over the collector's per-family arrival, served and
+//!   dropped flows and effective accuracy, plus what the collector does
+//!   not hold: queue depths, per-device utilization and batch occupancy,
+//!   per-phase control-plane self-profiling and the stale-plan age;
 //! * [`BurnEngine`] — multi-window, multi-rate SLO burn-rate alerts in
 //!   the Google SRE style, surfaced as first-class trace events;
 //! * [`expose`] — Prometheus text-format 0.0.4 pages, one per window,

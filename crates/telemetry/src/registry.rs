@@ -1,17 +1,20 @@
-//! The windowed metrics registry: typed counters, gauges and sketches
-//! driven entirely by *simulated* time.
+//! The windowed metrics registry: a sliding-window view over the run's
+//! [`MetricsCollector`], driven entirely by *simulated* time.
 //!
-//! The serving loop pushes per-query deltas (`on_arrival` / `on_served` /
-//! `on_dropped`) into the current step cell; once per step the engine's
-//! monitoring tick seals the cell into a ring of the last `window/step`
-//! steps and samples instantaneous device state. Sliding-window rates are
-//! sums over the ring, so a window advances every step without rescanning
-//! history. Cumulative counters (never reset) back the Prometheus
-//! counters; the ring backs the gauges and the dashboard.
+//! The registry records no queries of its own: every arrival, serve and
+//! drop is recorded once, in the collector. Once per step the engine's
+//! monitoring tick seals a step: its per-family flows are everything the
+//! collector recorded since the previous seal, read from the few
+//! collector rows the step touched. The sealed step joins a ring of the
+//! last `window/step` steps together with a snapshot of instantaneous
+//! device state. Sliding-window rates are sums over the ring, so a window
+//! advances every step without rescanning history. The registry itself
+//! keeps only what the collector does not: control-plane phase timings,
+//! plan applications and the stale-plan age.
 
 use std::collections::VecDeque;
 
-use proteus_metrics::{Bucket, QuantileSketch};
+use proteus_metrics::{Bucket, MetricsCollector, QuantileSketch, LATENCY_ALPHA, LATENCY_BUCKETS};
 use proteus_profiler::ModelFamily;
 use proteus_sim::SimTime;
 
@@ -149,23 +152,22 @@ impl WindowView {
 pub struct Registry {
     step: SimTime,
     window_steps: usize,
-    /// Current (unsealed) step accumulation.
-    cur: [Bucket; ModelFamily::COUNT],
     /// Sealed steps, oldest in front; capacity `window_steps`.
     ring: VecDeque<Step>,
     /// Device snapshot just *before* the oldest ring step (the delta
     /// baseline for cumulative per-device counters).
     baseline: Vec<DeviceSample>,
-    /// Cumulative per-family flows since run start.
-    totals: [Bucket; ModelFamily::COUNT],
+    /// The collector row holding the previous seal's instant.
+    sealed_row: u64,
+    /// That row's per-family cells as they stood at the previous seal:
+    /// the part of the row an earlier step already counted.
+    sealed_cells: [Bucket; ModelFamily::COUNT],
     /// Cumulative wall nanoseconds per control-plane phase.
     phase_nanos: [u64; Phase::COUNT],
     /// Cumulative invocations per control-plane phase.
     phase_calls: [u64; Phase::COUNT],
     /// Cumulative replans applied.
     reallocations: u64,
-    /// Response-latency sketch (seconds), cumulative since run start.
-    latency: QuantileSketch,
     /// When the control plane's in-flight solve started; `None` while no
     /// solve is running (the `proteus_solve_in_progress` gauge).
     solve_started_at: Option<SimTime>,
@@ -173,75 +175,33 @@ pub struct Registry {
     /// serving plan is known-stale; its age (now − solve start) is sampled
     /// at every sealed step and at solve resolution.
     stale_age: QuantileSketch,
-    last_seal: SimTime,
 }
 
 impl Registry {
     /// Creates a registry aggregating `window` of history advanced every
     /// `step` (both clamped to at least 1 ns; `window >= step`).
-    pub fn new(window: SimTime, step: SimTime, sketch_alpha: f64) -> Self {
+    pub fn new(window: SimTime, step: SimTime) -> Self {
         let step = step.max(SimTime::from_nanos(1));
         let window = window.max(step);
         let window_steps = (window.as_nanos() / step.as_nanos()).max(1) as usize;
         Registry {
             step,
             window_steps,
-            cur: [Bucket::default(); ModelFamily::COUNT],
             ring: VecDeque::with_capacity(window_steps),
             baseline: Vec::new(),
-            totals: [Bucket::default(); ModelFamily::COUNT],
+            sealed_row: 0,
+            sealed_cells: [Bucket::default(); ModelFamily::COUNT],
             phase_nanos: [0; Phase::COUNT],
             phase_calls: [0; Phase::COUNT],
             reallocations: 0,
-            latency: QuantileSketch::new(sketch_alpha, 2048).with_exemplars(),
             solve_started_at: None,
-            stale_age: QuantileSketch::new(sketch_alpha, 2048),
-            last_seal: SimTime::ZERO,
+            stale_age: QuantileSketch::new(LATENCY_ALPHA, LATENCY_BUCKETS),
         }
     }
 
     /// The configured step width.
     pub fn step(&self) -> SimTime {
         self.step
-    }
-
-    /// Records a query arrival.
-    #[inline]
-    pub fn on_arrival(&mut self, family: ModelFamily) {
-        self.cur[family.index()].arrived += 1;
-        self.totals[family.index()].arrived += 1;
-    }
-
-    /// Records a served query with its end-to-end latency. The query ID
-    /// feeds the latency sketch's exemplar store, linking exported
-    /// quantiles back to concrete traces.
-    #[inline]
-    pub fn on_served(
-        &mut self,
-        query: u64,
-        family: ModelFamily,
-        accuracy: f64,
-        on_time: bool,
-        latency: SimTime,
-    ) {
-        let i = family.index();
-        if on_time {
-            self.cur[i].served_on_time += 1;
-            self.totals[i].served_on_time += 1;
-        } else {
-            self.cur[i].served_late += 1;
-            self.totals[i].served_late += 1;
-        }
-        self.cur[i].accuracy_sum += accuracy;
-        self.totals[i].accuracy_sum += accuracy;
-        self.latency.record_exemplar(latency.as_secs_f64(), query);
-    }
-
-    /// Records a dropped query.
-    #[inline]
-    pub fn on_dropped(&mut self, family: ModelFamily) {
-        self.cur[family.index()].dropped += 1;
-        self.totals[family.index()].dropped += 1;
     }
 
     /// Records one self-profiled control-plane phase execution.
@@ -300,14 +260,37 @@ impl Registry {
         &self.stale_age
     }
 
-    /// Seals the current step at `now` with the given device snapshot and
-    /// returns the step's per-family flows (the burn engine's input).
+    /// Seals the step ending at `now` with the given device snapshot and
+    /// returns its per-family flows (the burn engine's input): everything
+    /// `collector` recorded since the previous seal, in processing order,
+    /// so a record at exactly `now` made after this seal joins the next
+    /// step. The flows are the rows from the previous seal's row through
+    /// `now`'s, minus what the first held at the previous seal.
     pub fn seal_step(
         &mut self,
         now: SimTime,
         devices: &[DeviceSample],
+        collector: &MetricsCollector,
     ) -> [Bucket; ModelFamily::COUNT] {
-        let flows = std::mem::take(&mut self.cur);
+        let row = now.as_nanos() / collector.interval().as_nanos();
+        let flows = std::array::from_fn(|i| {
+            let family = ModelFamily::from_index(i);
+            let first = collector.family_bucket(self.sealed_row, family);
+            let seen = self.sealed_cells[i];
+            let mut flow = Bucket {
+                arrived: first.arrived.saturating_sub(seen.arrived),
+                served_on_time: first.served_on_time.saturating_sub(seen.served_on_time),
+                served_late: first.served_late.saturating_sub(seen.served_late),
+                dropped: first.dropped.saturating_sub(seen.dropped),
+                accuracy_sum: first.accuracy_sum - seen.accuracy_sum,
+            };
+            for r in self.sealed_row + 1..=row {
+                flow.merge(&collector.family_bucket(r, family));
+            }
+            self.sealed_cells[i] = collector.family_bucket(row, family);
+            flow
+        });
+        self.sealed_row = row;
         if self.ring.len() == self.window_steps {
             if let Some(old) = self.ring.pop_front() {
                 self.baseline = old.devices;
@@ -324,7 +307,6 @@ impl Registry {
             self.stale_age
                 .record(now.saturating_sub(started).as_secs_f64());
         }
-        self.last_seal = now;
         flows
     }
 
@@ -372,11 +354,6 @@ impl Registry {
         })
     }
 
-    /// Cumulative per-family flows since run start.
-    pub fn totals(&self) -> &[Bucket; ModelFamily::COUNT] {
-        &self.totals
-    }
-
     /// Cumulative wall nanoseconds for one phase.
     pub fn phase_nanos(&self, phase: Phase) -> u64 {
         self.phase_nanos[phase.index()]
@@ -391,11 +368,6 @@ impl Registry {
     pub fn reallocations(&self) -> u64 {
         self.reallocations
     }
-
-    /// The cumulative response-latency sketch (seconds).
-    pub fn latency(&self) -> &QuantileSketch {
-        &self.latency
-    }
 }
 
 #[cfg(test)]
@@ -404,6 +376,14 @@ mod tests {
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
+    }
+
+    fn ms(millis: u64) -> SimTime {
+        SimTime::from_millis(millis)
+    }
+
+    fn collector() -> MetricsCollector {
+        MetricsCollector::new(t(1))
     }
 
     fn dev(busy_ms: u64, batches: u64, queries: u64) -> DeviceSample {
@@ -418,27 +398,86 @@ mod tests {
 
     #[test]
     fn window_slides_over_sealed_steps() {
-        let mut r = Registry::new(t(3), t(1), 0.01);
+        let mut r = Registry::new(t(3), t(1));
+        let mut m = collector();
         for step in 0..5u64 {
-            for _ in 0..=step {
-                r.on_arrival(ModelFamily::ResNet);
+            for i in 0..=step {
+                m.record_arrival(ms(step * 1000 + 100 * i), ModelFamily::ResNet);
             }
-            r.seal_step(t(step + 1), &[]);
+            r.seal_step(t(step + 1), &[], &m);
         }
         // Ring holds steps with 3, 4, 5 arrivals.
         let w = r.window().unwrap();
         assert_eq!(w.families[ModelFamily::ResNet.index()].arrived, 12);
         assert_eq!(w.span, t(3));
-        // Cumulative totals are unaffected by the slide.
-        assert_eq!(r.totals()[ModelFamily::ResNet.index()].arrived, 15);
+    }
+
+    #[test]
+    fn records_at_the_seal_instant_go_by_processing_order() {
+        // A fault drop at exactly t = 1 s is recorded before the monitor
+        // tick's seal at 1 s; a serve at the same instant comes after it.
+        let mut r = Registry::new(t(10), t(1));
+        let mut m = collector();
+        let family = ModelFamily::Bert;
+        m.record_arrival(ms(400), family);
+        m.record_dropped(t(1), family);
+        let first = r.seal_step(t(1), &[], &m);
+        m.record_served(t(1), family, 0.75, true);
+        m.record_arrival(ms(1500), family);
+        let second = r.seal_step(t(2), &[], &m);
+        let third = r.seal_step(t(3), &[], &m);
+        let f = family.index();
+        assert_eq!(
+            (first[f].arrived, first[f].dropped, first[f].served()),
+            (1, 1, 0)
+        );
+        assert_eq!(
+            (second[f].arrived, second[f].dropped, second[f].served()),
+            (1, 0, 1)
+        );
+        assert_eq!(second[f].accuracy_sum, 0.75);
+        assert_eq!(third[f], Bucket::default());
+        // The steps partition the collector's totals.
+        let mut steps = Bucket::default();
+        for flows in [first, second, third] {
+            steps.merge(&flows[f]);
+        }
+        let mut totals = Bucket::default();
+        for row in 0..m.num_buckets() {
+            totals.merge(&m.family_bucket(row, family));
+        }
+        assert_eq!(steps, totals);
+    }
+
+    #[test]
+    fn a_step_spanning_rows_sums_them() {
+        let mut r = Registry::new(t(10), t(3));
+        let mut m = collector();
+        let family = ModelFamily::T5;
+        for millis in [500, 1500, 2500] {
+            m.record_arrival(ms(millis), family);
+        }
+        let first = r.seal_step(t(3), &[], &m);
+        // A second seal inside the same row reads only what is new.
+        m.record_arrival(ms(3100), family);
+        let tail = r.seal_step(ms(3200), &[], &m);
+        for millis in [3500, 4500, 5500] {
+            m.record_arrival(ms(millis), family);
+        }
+        let rest = r.seal_step(t(6), &[], &m);
+        let f = family.index();
+        assert_eq!(first[f].arrived, 3);
+        assert_eq!(tail[f].arrived, 1);
+        assert_eq!(rest[f].arrived, 3);
     }
 
     #[test]
     fn device_window_differences_cumulative_counters() {
-        let mut r = Registry::new(t(2), t(1), 0.01);
-        r.seal_step(t(1), &[dev(200, 2, 8)]);
-        r.seal_step(t(2), &[dev(700, 4, 16)]);
-        r.seal_step(t(3), &[dev(1200, 10, 40)]);
+        let mut r = Registry::new(t(2), t(1));
+        let m = collector();
+        r.seal_step(t(1), &[dev(200, 2, 8)], &m);
+        r.seal_step(t(2), &[dev(700, 4, 16)], &m);
+        r.seal_step(t(3), &[dev(1200, 10, 40)], &m);
         // Window covers (1s, 3s]: baseline is the t=1s snapshot.
         let w = r.window().unwrap();
         let d = w.devices[0];
@@ -449,7 +488,7 @@ mod tests {
 
     #[test]
     fn phases_and_reallocations_accumulate() {
-        let mut r = Registry::new(t(10), t(1), 0.01);
+        let mut r = Registry::new(t(10), t(1));
         r.on_phase(Phase::Solve, 1_000);
         r.on_phase(Phase::Solve, 500);
         r.on_reallocation();
@@ -461,12 +500,13 @@ mod tests {
 
     #[test]
     fn solve_window_samples_stale_age() {
-        let mut r = Registry::new(t(10), t(1), 0.01);
+        let mut r = Registry::new(t(10), t(1));
+        let m = collector();
         assert!(!r.solve_in_progress());
         r.on_solve_started(t(1));
         assert!(r.solve_in_progress());
-        r.seal_step(t(2), &[]); // age 1 s
-        r.seal_step(t(3), &[]); // age 2 s
+        r.seal_step(t(2), &[], &m); // age 1 s
+        r.seal_step(t(3), &[], &m); // age 2 s
         r.on_solve_resolved(t(4)); // final age 3 s
         assert!(!r.solve_in_progress());
         assert_eq!(r.stale_age().count(), 3);
@@ -476,24 +516,22 @@ mod tests {
             r.stale_age().sum()
         );
         // Sealing with no solve in flight samples nothing.
-        r.seal_step(t(5), &[]);
+        r.seal_step(t(5), &[], &m);
         assert_eq!(r.stale_age().count(), 3);
     }
 
     #[test]
-    fn served_feeds_accuracy_and_latency() {
-        let mut r = Registry::new(t(10), t(1), 0.01);
-        r.on_served(1, ModelFamily::Bert, 0.9, true, SimTime::from_millis(50));
-        r.on_served(2, ModelFamily::Bert, 0.7, false, SimTime::from_millis(250));
-        r.on_dropped(ModelFamily::Bert);
-        r.seal_step(t(1), &[]);
+    fn window_reads_accuracy_and_violations_from_the_collector() {
+        let mut r = Registry::new(t(10), t(1));
+        let mut m = collector();
+        m.record_served_query(ms(100), 1, ModelFamily::Bert, 0.9, true, ms(50));
+        m.record_served_query(ms(200), 2, ModelFamily::Bert, 0.7, false, ms(250));
+        m.record_dropped(ms(300), ModelFamily::Bert);
+        r.seal_step(t(1), &[], &m);
         let w = r.window().unwrap();
         let cell = w.families[ModelFamily::Bert.index()];
         assert_eq!(cell.served(), 2);
         assert_eq!(cell.violations(), 2);
         assert!((cell.accuracy_sum - 1.6).abs() < 1e-12);
-        assert_eq!(r.latency().count(), 2);
-        // The slow query is the p99 exemplar.
-        assert_eq!(r.latency().exemplar_for(0.99).unwrap().query, 2);
     }
 }

@@ -1,10 +1,13 @@
 //! The runtime facade the serving engine drives: configuration, the
 //! per-tick pipeline (seal step → burn engine → window emission), file
-//! and HTTP output, and the end-of-run summary.
+//! and HTTP output, and the end-of-run summary. Per-query flows, counters
+//! and latencies are read from the run's [`MetricsCollector`], which the
+//! engine passes to every tick.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 
+use proteus_metrics::MetricsCollector;
 use proteus_profiler::ModelFamily;
 use proteus_sim::SimTime;
 use proteus_trace::AlertSeverity;
@@ -13,7 +16,7 @@ use crate::burn::{AlertTransition, BurnEngine, BurnRule};
 use crate::dashboard::Dashboard;
 use crate::expose::render_page;
 use crate::http::HttpHandle;
-use crate::registry::{DeviceSample, Phase, Registry};
+use crate::registry::{DeviceSample, Registry};
 
 /// Configuration of the telemetry plane. `None` in
 /// `SystemConfig::telemetry` (the default) keeps the plane entirely off —
@@ -23,16 +26,14 @@ use crate::registry::{DeviceSample, Phase, Registry};
 pub struct TelemetryConfig {
     /// Sliding-window span for rates and gauges.
     pub window: SimTime,
-    /// Step the window advances by (one seal per monitoring tick at
-    /// most; the effective step is never finer than the tick cadence).
+    /// Step the window advances by. Steps are sealed on the engine's
+    /// monitoring ticks, so the engine rounds it up to whole ticks.
     pub step: SimTime,
     /// On-time SLO objective in `(0, 1)`: the fraction of arrivals that
     /// must not be violated. The error budget is `1 - objective`.
     pub objective: f64,
     /// Burn-rate alerting rules.
     pub rules: Vec<BurnRule>,
-    /// Relative-error bound of the latency quantile sketch.
-    pub sketch_alpha: f64,
     /// Append one Prometheus text-format page per window to this file.
     pub expo_path: Option<PathBuf>,
     /// Redraw the ANSI dashboard on stderr every window.
@@ -63,7 +64,6 @@ impl Default for TelemetryConfig {
                     factor: 2.0,
                 },
             ],
-            sketch_alpha: 0.01,
             expo_path: None,
             live: false,
             http_port: None,
@@ -127,7 +127,7 @@ impl TelemetryRuntime {
     /// listener if configured. I/O failures are sticky-recorded, never
     /// fatal — telemetry must not take down a run.
     pub fn new(cfg: TelemetryConfig) -> Self {
-        let registry = Registry::new(cfg.window, cfg.step, cfg.sketch_alpha);
+        let registry = Registry::new(cfg.window, cfg.step);
         let burn = BurnEngine::new(cfg.objective, cfg.rules.clone(), registry.step());
         let mut io_error = false;
         let expo = cfg
@@ -171,84 +171,32 @@ impl TelemetryRuntime {
         self.http.as_ref().map(|h| h.addr())
     }
 
-    /// Records a query arrival.
-    #[inline]
-    pub fn on_arrival(&mut self, family: ModelFamily) {
-        self.registry.on_arrival(family);
+    /// The registry, for the control plane's hooks: phase timings, plan
+    /// applications and solve windows.
+    pub fn registry_mut(&mut self) -> &mut Registry {
+        &mut self.registry
     }
 
-    /// Records a served query; the ID links latency exemplars to traces.
-    #[inline]
-    pub fn on_served(
+    /// The monitoring-tick driver: seals a step of what `metrics`
+    /// recorded when one is due, runs the burn engine, and emits a window
+    /// (page + dashboard frame) when one closes. Returns the alert
+    /// transitions this tick caused — the engine turns them into trace
+    /// events.
+    pub fn tick(
         &mut self,
-        query: u64,
-        family: ModelFamily,
-        accuracy: f64,
-        on_time: bool,
-        latency: SimTime,
-    ) {
-        self.registry
-            .on_served(query, family, accuracy, on_time, latency);
-    }
-
-    /// Records a dropped query.
-    #[inline]
-    pub fn on_dropped(&mut self, family: ModelFamily) {
-        self.registry.on_dropped(family);
-    }
-
-    /// Records one self-profiled control-plane phase execution.
-    #[inline]
-    pub fn on_phase(&mut self, phase: Phase, wall_nanos: u64) {
-        self.registry.on_phase(phase, wall_nanos);
-    }
-
-    /// Counts a phase invocation without a duration (sampled profiling).
-    #[inline]
-    pub fn on_phase_call(&mut self, phase: Phase) {
-        self.registry.on_phase_call(phase);
-    }
-
-    /// Adds pre-scaled phase wall time (sampled profiling).
-    #[inline]
-    pub fn on_phase_nanos(&mut self, phase: Phase, wall_nanos: u64) {
-        self.registry.on_phase_nanos(phase, wall_nanos);
-    }
-
-    /// Records a plan application.
-    #[inline]
-    pub fn on_reallocation(&mut self) {
-        self.registry.on_reallocation();
-    }
-
-    /// The control plane entered a solve window (nonzero solve latency):
-    /// the serving plan is stale until the matching
-    /// [`on_solve_resolved`](Self::on_solve_resolved).
-    #[inline]
-    pub fn on_solve_started(&mut self, now: SimTime) {
-        self.registry.on_solve_started(now);
-    }
-
-    /// The in-flight solve committed or was discarded.
-    #[inline]
-    pub fn on_solve_resolved(&mut self, now: SimTime) {
-        self.registry.on_solve_resolved(now);
-    }
-
-    /// The monitoring-tick driver: seals a step when one is due, runs
-    /// the burn engine, and emits a window (page + dashboard frame) when
-    /// one closes. Returns the alert transitions this tick caused — the
-    /// engine turns them into trace events.
-    pub fn tick(&mut self, now: SimTime, devices: &[DeviceSample]) -> Vec<AlertTransition> {
+        now: SimTime,
+        devices: &[DeviceSample],
+        metrics: &MetricsCollector,
+    ) -> Vec<AlertTransition> {
         if now < self.next_step_end {
             return Vec::new();
         }
-        let flows = self.registry.seal_step(now, devices);
+        let flows = self.registry.seal_step(now, devices, metrics);
         self.next_step_end = now + self.registry.step();
         let transitions = self.burn.push_step(now, &flows);
         self.record_transitions(&transitions);
         if now >= self.next_window_end {
-            self.emit_window();
+            self.emit_window(metrics);
             self.next_window_end = now + self.cfg.window;
         }
         transitions
@@ -272,7 +220,7 @@ impl TelemetryRuntime {
         }
     }
 
-    fn emit_window(&mut self) {
+    fn emit_window(&mut self, metrics: &MetricsCollector) {
         let Some(view) = self.registry.window() else {
             return;
         };
@@ -280,7 +228,7 @@ impl TelemetryRuntime {
         // A page is rendered only when the exposition file or the HTTP
         // listener will read it.
         if self.expo.is_some() || self.http.is_some() {
-            let page = render_page(self.windows, &self.registry, &self.burn, &view);
+            let page = render_page(self.windows, &self.registry, metrics, &self.burn, &view);
             if let Some(writer) = self.expo.as_mut() {
                 if writer.write_all(page.as_bytes()).is_err() {
                     self.io_error = true;
@@ -292,7 +240,7 @@ impl TelemetryRuntime {
             }
         }
         if self.cfg.live {
-            let frame = self.dashboard.render(&self.registry, &self.burn, &view);
+            let frame = self.dashboard.render(metrics, &self.burn, &view);
             let mut err = std::io::stderr();
             let _ = err.write_all(frame.as_bytes());
             let _ = err.flush();
@@ -301,11 +249,16 @@ impl TelemetryRuntime {
 
     /// Finalizes the run: seals the tail, emits a last window, flushes
     /// the exposition file and returns the summary.
-    pub fn finish(&mut self, now: SimTime, devices: &[DeviceSample]) -> TelemetrySummary {
-        let flows = self.registry.seal_step(now, devices);
+    pub fn finish(
+        &mut self,
+        now: SimTime,
+        devices: &[DeviceSample],
+        metrics: &MetricsCollector,
+    ) -> TelemetrySummary {
+        let flows = self.registry.seal_step(now, devices, metrics);
         let transitions = self.burn.push_step(now, &flows);
         self.record_transitions(&transitions);
-        self.emit_window();
+        self.emit_window(metrics);
         if let Some(writer) = self.expo.as_mut() {
             if writer.flush().is_err() {
                 self.io_error = true;
@@ -339,14 +292,26 @@ mod tests {
         }]
     }
 
+    /// One second of traffic for `family` just before `end_secs`: an
+    /// arrival and its served response.
+    fn second_served(m: &mut MetricsCollector, end_secs: u64, family: ModelFamily) {
+        let at = SimTime::from_millis(end_secs * 1000 - 500);
+        m.record_arrival(at, family);
+        let latency = SimTime::from_millis(35);
+        m.record_served_query(at + latency, end_secs, family, 0.95, true, latency);
+    }
+
     #[test]
     fn off_cadence_ticks_do_not_seal() {
         let mut rt = TelemetryRuntime::new(TelemetryConfig::default());
-        assert!(rt.tick(SimTime::from_millis(500), &devs()).is_empty());
-        rt.on_arrival(ModelFamily::ResNet);
-        // The first due tick seals everything accumulated so far.
-        rt.tick(SimTime::from_secs(1), &devs());
-        assert_eq!(rt.registry.totals()[ModelFamily::ResNet.index()].arrived, 1);
+        let mut m = MetricsCollector::new(SimTime::from_secs(1));
+        assert!(rt.tick(SimTime::from_millis(500), &devs(), &m).is_empty());
+        assert!(rt.registry.window().is_none());
+        m.record_arrival(SimTime::from_millis(700), ModelFamily::ResNet);
+        // The first due tick seals everything recorded so far.
+        rt.tick(SimTime::from_secs(1), &devs(), &m);
+        let w = rt.registry.window().unwrap();
+        assert_eq!(w.families[ModelFamily::ResNet.index()].arrived, 1);
     }
 
     #[test]
@@ -364,23 +329,26 @@ mod tests {
             ..Default::default()
         };
         let mut rt = TelemetryRuntime::new(cfg);
+        let mut m = MetricsCollector::new(SimTime::from_secs(1));
         let mut fired = 0;
         for s in 1..=6u64 {
-            for _ in 0..10 {
-                rt.on_arrival(ModelFamily::Bert);
+            for i in 0..10u64 {
+                let at = SimTime::from_millis((s - 1) * 1000 + 10 * i);
+                m.record_arrival(at, ModelFamily::Bert);
                 if s == 3 || s == 4 {
-                    rt.on_dropped(ModelFamily::Bert);
+                    m.record_dropped(at, ModelFamily::Bert);
                 } else {
-                    rt.on_served(1, ModelFamily::Bert, 0.9, true, SimTime::from_millis(20));
+                    let latency = SimTime::from_millis(20);
+                    m.record_served_query(at + latency, 1, ModelFamily::Bert, 0.9, true, latency);
                 }
             }
             fired += rt
-                .tick(SimTime::from_secs(s), &devs())
+                .tick(SimTime::from_secs(s), &devs(), &m)
                 .iter()
                 .filter(|t| t.fired)
                 .count();
         }
-        let summary = rt.finish(SimTime::from_secs(7), &devs());
+        let summary = rt.finish(SimTime::from_secs(7), &devs(), &m);
         assert!(fired >= 1, "outage should fire");
         assert_eq!(summary.alerts_fired as usize, summary.alerts.len());
         assert!(summary.alerts_resolved >= 1, "recovery should resolve");
@@ -404,17 +372,21 @@ mod tests {
             ..Default::default()
         };
         let mut rt = TelemetryRuntime::new(cfg);
+        let mut m = MetricsCollector::new(SimTime::from_secs(1));
         for s in 1..=5u64 {
-            rt.on_arrival(ModelFamily::ResNet);
-            rt.on_served(s, ModelFamily::ResNet, 0.95, true, SimTime::from_millis(35));
-            rt.tick(SimTime::from_secs(s), &devs());
+            second_served(&mut m, s, ModelFamily::ResNet);
+            rt.tick(SimTime::from_secs(s), &devs(), &m);
         }
-        let summary = rt.finish(SimTime::from_secs(6), &devs());
+        let summary = rt.finish(SimTime::from_secs(6), &devs(), &m);
         assert!(summary.windows >= 2);
         assert!(!summary.io_error);
         let text = std::fs::read_to_string(&path).expect("exposition file");
         let stats = crate::validate::validate(&text).expect("valid exposition");
         assert_eq!(stats.pages as u64, summary.windows);
+        // The last page's counters are the collector's totals.
+        let last = text.rsplit("# page").next().unwrap();
+        assert!(last.contains("proteus_queries_arrived_total{family=\"ResNet\"} 5"));
+        assert!(last.contains("proteus_latency_seconds_count 5"));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -426,12 +398,12 @@ mod tests {
                 expo_path,
                 ..Default::default()
             });
+            let mut m = MetricsCollector::new(SimTime::from_secs(1));
             for s in 1..=5u64 {
-                rt.on_arrival(ModelFamily::ResNet);
-                rt.on_served(s, ModelFamily::ResNet, 0.95, true, SimTime::from_millis(35));
-                rt.tick(SimTime::from_secs(s), &devs());
+                second_served(&mut m, s, ModelFamily::ResNet);
+                rt.tick(SimTime::from_secs(s), &devs(), &m);
             }
-            rt.finish(SimTime::from_secs(6), &devs())
+            rt.finish(SimTime::from_secs(6), &devs(), &m)
         };
         let path = std::env::temp_dir().join("proteus_telemetry_no_consumer_test.prom");
         let _ = std::fs::remove_file(&path);

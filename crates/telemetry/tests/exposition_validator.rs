@@ -1,8 +1,9 @@
-//! Satellite 3: a dependency-free mini promtool exercised end-to-end —
-//! pages generated by `expose::render_page` across several windows must
-//! validate, and deliberately broken input must be rejected with a
-//! pointed message.
+//! A dependency-free mini promtool exercised end-to-end — pages generated
+//! by `expose::render_page` across several windows of a fed
+//! `MetricsCollector` must validate, and deliberately broken input must be
+//! rejected with a pointed message.
 
+use proteus_metrics::MetricsCollector;
 use proteus_profiler::ModelFamily;
 use proteus_sim::SimTime;
 use proteus_telemetry::burn::BurnRule;
@@ -27,12 +28,13 @@ fn default_rules() -> Vec<BurnRule> {
     ]
 }
 
-/// Drives a registry + burn engine through `windows` full windows of
-/// synthetic traffic (with a violation burst in the middle so alerts
-/// fire) and returns the concatenated multi-page exposition.
+/// Drives a collector, registry and burn engine through `windows` full
+/// windows of synthetic traffic (with a violation burst in the middle so
+/// alerts fire) and returns the concatenated multi-page exposition.
 fn generate_pages(windows: u64) -> String {
     let step = SimTime::from_secs(1);
-    let mut reg = Registry::new(SimTime::from_secs(10), step, 0.01);
+    let mut metrics = MetricsCollector::new(step);
+    let mut reg = Registry::new(SimTime::from_secs(10), step);
     let mut burn = BurnEngine::new(0.95, default_rules(), step);
     let mut out = String::new();
     let mut page_no = 0u64;
@@ -40,23 +42,25 @@ fn generate_pages(windows: u64) -> String {
     for s in 1..=total_steps {
         for i in 0..20u64 {
             let family = ModelFamily::from_index((i % 9) as usize);
-            reg.on_arrival(family);
+            let at = SimTime::from_millis((s - 1) * 1000 + 40 * i);
+            metrics.record_arrival(at, family);
             // Middle third of the run: drop hard so burn alerts fire.
             let bursting = s > total_steps / 3 && s <= 2 * total_steps / 3;
             if bursting && i % 2 == 0 {
-                reg.on_dropped(family);
+                metrics.record_dropped(at, family);
             } else {
-                reg.on_served(s * 20 + i, family, 0.93, true, SimTime::from_millis(25 + i));
+                let latency = SimTime::from_millis(25 + i);
+                metrics.record_served_query(at + latency, s * 20 + i, family, 0.93, true, latency);
             }
         }
         reg.on_phase(proteus_telemetry::Phase::Route, 3_000 + s % 5_000);
         let now = SimTime::from_secs(s);
-        let flows = reg.seal_step(now, &[]);
+        let flows = reg.seal_step(now, &[], &metrics);
         burn.push_step(now, &flows);
         if s % 10 == 0 {
             page_no += 1;
             let view = reg.window().expect("full window");
-            out.push_str(&render_page(page_no, &reg, &burn, &view));
+            out.push_str(&render_page(page_no, &reg, &metrics, &burn, &view));
         }
     }
     out

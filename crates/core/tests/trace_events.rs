@@ -13,8 +13,8 @@ use proteus_core::{AllocationPlan, FamilyMap};
 use proteus_profiler::{Cluster, DeviceId, ModelFamily, VariantId};
 use proteus_sim::{FaultSchedule, SimTime};
 use proteus_trace::{
-    blame, collapse_flame, diff_traces, parse_jsonl, span_trees, to_jsonl, BlameCause, EventKind,
-    JsonlSink, LifecycleStats, MemorySink, Segment, SpanTree, TraceEvent, TraceSink,
+    blame, collapse_flame, diff_traces, parse_jsonl, span_trees, to_jsonl, BlameCause, CausalEdge,
+    EventKind, JsonlSink, LifecycleStats, MemorySink, Segment, SpanTree, TraceEvent, TraceSink,
 };
 use proteus_workloads::{
     ArrivalKind, ArrivalProcess, BurstyTrace, FlatTrace, QueryArrival, TraceBuilder,
@@ -750,4 +750,101 @@ fn chaos_analysis_matches_pinned_digests() {
         digests, CHAOS_DIGESTS,
         "analysis of the chaos traces drifted; now:\n{table}"
     );
+}
+
+/// An injective remap of the ids below 2²⁰: every fourth id keeps its
+/// value, the others go to multiples of 2³², to values past 2⁵⁶ and to
+/// values next to `u64::MAX`. The four ranges do not overlap.
+fn remap(id: u64) -> u64 {
+    assert!(id < 1 << 20, "id {id} is outside the remapped range");
+    match id % 4 {
+        0 => (id + 1) << 32,
+        1 => u64::MAX - id,
+        2 => (1 << 56) + id * 0x9e37_79b9,
+        _ => id,
+    }
+}
+
+/// `event` with every query id and batch id passed through [`remap`].
+fn remap_event(event: &TraceEvent) -> TraceEvent {
+    let mut kind = event.kind.clone();
+    match &mut kind {
+        EventKind::Arrived { query, .. }
+        | EventKind::Routed { query, .. }
+        | EventKind::ServedOnTime { query, .. }
+        | EventKind::ServedLate { query, .. }
+        | EventKind::Dropped { query, .. }
+        | EventKind::QueryRetried { query, .. } => *query = remap(*query),
+        EventKind::Enqueued { query, behind, .. } => {
+            *query = remap(*query);
+            *behind = behind.map(remap);
+        }
+        EventKind::BatchFormed { batch, queries, .. } => {
+            *batch = remap(*batch);
+            for q in queries {
+                *q = remap(*q);
+            }
+        }
+        EventKind::ExecStarted { batch, .. } | EventKind::ExecCompleted { batch, .. } => {
+            *batch = remap(*batch)
+        }
+        _ => {}
+    }
+    TraceEvent { at: event.at, kind }
+}
+
+#[test]
+fn analysis_is_invariant_under_id_remapping() {
+    // The analysis indexes query and batch ids (a dense range for small
+    // query ids, hashed maps for the rest): which ids a trace uses may
+    // change how fast it is analysed, never what comes out.
+    let traces: Vec<Vec<TraceEvent>> = (0..20u64).map(|seed| record_chaos_run(seed).0).collect();
+    let remapped: Vec<Vec<TraceEvent>> = traces
+        .iter()
+        .map(|events| events.iter().map(remap_event).collect())
+        .collect();
+    for (seed, (events, mapped)) in traces.iter().zip(&remapped).enumerate() {
+        let trees = span_trees(events);
+        let want: Vec<SpanTree> = trees
+            .iter()
+            .map(|tree| {
+                let mut tree = tree.clone();
+                tree.query = remap(tree.query);
+                for edge in &mut tree.edges {
+                    if let CausalEdge::QueuedBehind { batch } = edge {
+                        *batch = remap(*batch);
+                    }
+                }
+                tree
+            })
+            .collect();
+        assert_eq!(span_trees(mapped), want, "seed {seed}: span trees");
+
+        let mut verdicts = blame(events).verdicts;
+        for v in &mut verdicts {
+            v.query = remap(v.query);
+        }
+        assert_eq!(blame(mapped).verdicts, verdicts, "seed {seed}: blame");
+
+        assert_eq!(
+            collapse_flame(&span_trees(mapped)),
+            collapse_flame(&trees),
+            "seed {seed}: flame"
+        );
+
+        let next = (seed + 1) % traces.len();
+        let mut want = diff_traces(events, &traces[next]);
+        for ids in [&mut want.new_violations, &mut want.vanished_violations] {
+            for id in ids.iter_mut() {
+                *id = remap(*id);
+            }
+            // The diff lists ids in ascending order.
+            ids.sort_unstable();
+        }
+        assert_eq!(
+            diff_traces(mapped, &remapped[next]),
+            want,
+            "seed {seed}: diff"
+        );
+    }
 }

@@ -15,7 +15,7 @@ use proteus_sim::SimTime;
 
 use crate::analysis::{verdict, BlameCause};
 use crate::event::TraceEvent;
-use crate::span::{harvest, trees_from, Segment, SpanTree, Timelines};
+use crate::span::{harvest, map_trees, Outcome, Segment, SpanTree, Timelines};
 
 /// Per-segment latency movement across the aligned queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,19 +98,47 @@ impl DiffReport {
     }
 }
 
-/// Index of one run: its span trees, with `(query, position)` for the last
-/// terminal of each query id, sorted by query id.
+/// What the diff reads of one terminal's span tree.
+struct Summary {
+    query: u64,
+    end: SimTime,
+    outcome: Outcome,
+    /// End-to-end latency, nanoseconds.
+    observed: u64,
+    /// Nanoseconds per segment, in [`Segment::ALL`] order.
+    segments: [u64; Segment::ALL.len()],
+}
+
+impl Summary {
+    fn of(tree: &SpanTree) -> Self {
+        let mut segments = [0; Segment::ALL.len()];
+        for s in &tree.spans {
+            segments[s.segment as usize] += s.dur().as_nanos();
+        }
+        Self {
+            query: tree.query,
+            end: tree.end,
+            outcome: tree.outcome,
+            observed: tree.observed().as_nanos(),
+            segments,
+        }
+    }
+}
+
+/// Index of one run: the summary of each terminal's span tree, with
+/// `(query, position)` for the last terminal of each query id, sorted by
+/// query id.
 struct RunIndex {
     timelines: Timelines,
-    trees: Vec<SpanTree>,
+    summaries: Vec<Summary>,
     last: Vec<(u64, usize)>,
 }
 
 fn index(events: &[TraceEvent]) -> RunIndex {
     // One harvest feeds both the span trees and the blame verdicts.
     let timelines = harvest(events);
-    let trees = trees_from(&timelines, events);
-    let mut last: Vec<(u64, usize)> = trees.iter().map(|t| t.query).zip(0..).collect();
+    let summaries = map_trees(&timelines, events, Summary::of);
+    let mut last: Vec<(u64, usize)> = summaries.iter().map(|s| s.query).zip(0..).collect();
     last.sort_unstable();
     // Of equal ids keep the last position: the last terminal wins.
     last.dedup_by(|later, kept| {
@@ -122,15 +150,15 @@ fn index(events: &[TraceEvent]) -> RunIndex {
     });
     RunIndex {
         timelines,
-        trees,
+        summaries,
         last,
     }
 }
 
 impl RunIndex {
-    /// The blame cause of a violating tree.
-    fn cause(&self, tree: &SpanTree) -> BlameCause {
-        verdict(&self.timelines, tree.query, tree.end, tree.outcome).cause
+    /// The blame cause of a violating terminal.
+    fn cause(&self, s: &Summary) -> BlameCause {
+        verdict(&self.timelines, s.query, s.end, s.outcome).cause
     }
 }
 
@@ -165,14 +193,14 @@ pub fn diff_traces(a: &[TraceEvent], b: &[TraceEvent]) -> DiffReport {
         i += 1;
         j += 1;
         aligned += 1;
-        let (ta, tb) = (&ia.trees[pa], &ib.trees[pb]);
-        total_a += ta.observed().as_nanos();
-        total_b += tb.observed().as_nanos();
-        for s in &ta.spans {
-            seg_a[s.segment as usize] += s.dur().as_nanos();
+        let (ta, tb) = (&ia.summaries[pa], &ib.summaries[pb]);
+        total_a += ta.observed;
+        total_b += tb.observed;
+        for (sum, ns) in seg_a.iter_mut().zip(ta.segments) {
+            *sum += ns;
         }
-        for s in &tb.spans {
-            seg_b[s.segment as usize] += s.dur().as_nanos();
+        for (sum, ns) in seg_b.iter_mut().zip(tb.segments) {
+            *sum += ns;
         }
         match (ta.outcome.is_violation(), tb.outcome.is_violation()) {
             (false, true) => new_violations.push(qa),

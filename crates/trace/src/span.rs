@@ -25,6 +25,7 @@
 //! chaos schedules).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use proteus_profiler::{DeviceId, ModelFamily, VariantId};
 use proteus_sim::SimTime;
@@ -229,7 +230,7 @@ impl SpanTree {
 /// Intervals are sorted by start; `reach[i]` is the largest end among
 /// `intervals[..=i]`. Ends alone are not monotone — a batch salvaged from a
 /// crash can end after the next batch on the same device starts — but
-/// `reach` is, so both edges of a window are binary searches.
+/// `reach` is, so both edges of a window are searches over sorted values.
 pub(crate) struct Lane<T> {
     /// `(start, until, payload)`, sorted by start.
     intervals: Vec<(SimTime, SimTime, T)>,
@@ -280,7 +281,15 @@ pub(crate) fn window<T>(
         return &[];
     };
     let hi = lane.intervals.partition_point(|&(start, _, _)| start < e);
-    let lo = lane.reach[..hi].partition_point(|&r| r <= s);
+    // The window's first interval is usually a few before `hi`: search
+    // back from there in doubling steps, then bisect the last step.
+    let reach = &lane.reach[..hi];
+    let mut back = 1;
+    while back <= hi && reach[hi - back] > s {
+        back *= 2;
+    }
+    let from = hi.saturating_sub(back);
+    let lo = from + reach[from..].partition_point(|&r| r <= s);
     &lane.intervals[lo..hi]
 }
 
@@ -336,12 +345,12 @@ const UNSEEN: QueryRecord = QueryRecord {
 #[derive(Default)]
 pub(crate) struct Timelines {
     /// Device → its exec and load lanes.
-    pub(crate) devices: HashMap<u32, DeviceLanes>,
+    pub(crate) devices: IdMap<u32, DeviceLanes>,
     /// Open solve windows (never overlapping: at most one solve is in
     /// flight).
     pub(crate) solves: Lane<()>,
     /// Query id → slot in `queries`.
-    ids: Slots<u64>,
+    ids: QueryIds,
     queries: Vec<QueryRecord>,
     /// `(device, batch)` → slot in `batch_starts`.
     batch_ids: Slots<(u32, u64)>,
@@ -351,12 +360,52 @@ pub(crate) struct Timelines {
     pub(crate) terminals: Vec<usize>,
 }
 
-/// Dense `u32` slots for ids, handed out in first-mention order, with the
-/// last lookup remembered: the events about one query (arrival, enqueue)
-/// or one batch (forming, start) usually come back to back.
+/// The hasher of the analysis pass's id maps: one multiply-rotate step per
+/// word (FxHash-style) instead of SipHash. Its keys are small integers the
+/// trace names, and SipHash cost more than the lookups around it. A trace
+/// crafted to collide can slow the lookups down, never change a result;
+/// `trace-query` reads the user's own files.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    /// The map picks the bucket from the low bits, but a product's low
+    /// bits see only the key's low bits (every multiple of 2³² would share
+    /// one bucket), so the well-mixed high bits are rotated down.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` hashed with [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// Dense `u32` slots for batch ids, handed out in first-mention order,
+/// with the last lookup remembered: the events about one batch (forming,
+/// start) usually come back to back.
 #[derive(Default)]
 struct Slots<K> {
-    map: HashMap<K, u32>,
+    map: IdMap<K, u32>,
     last: Option<(K, u32)>,
 }
 
@@ -375,9 +424,64 @@ impl<K: Copy + Eq + std::hash::Hash> Slots<K> {
         self.last = Some((key, slot));
         (slot, slot == next)
     }
+}
 
-    fn get(&self, key: &K) -> Option<u32> {
-        self.map.get(key).copied()
+/// Query id → dense `u32` slot, handed out in first-mention order.
+///
+/// The engine numbers its queries 0, 1, 2, …, so an id below twice the
+/// number of queries seen plus [`DENSE_SLACK`] indexes `dense` directly.
+/// The passes that look queries up go in roughly id order (the harvest's
+/// arrivals and batches, the trees' terminals), so they walk the index in
+/// order instead of hashing into it at random, and the index costs at most
+/// a few bytes per query. Any other id goes to `sparse`.
+#[derive(Default)]
+struct QueryIds {
+    /// Slot by id; [`ABSENT`] where the id is not (yet) in this range.
+    dense: Vec<u32>,
+    /// Slot by id, for the ids outside the dense range when first seen.
+    sparse: IdMap<u64, u32>,
+    /// Slots handed out.
+    len: u32,
+}
+
+/// How far the dense range reaches past twice the query count.
+const DENSE_SLACK: u64 = 4096;
+
+/// A `dense` entry with no query.
+const ABSENT: u32 = u32::MAX;
+
+impl QueryIds {
+    fn get(&self, id: u64) -> Option<u32> {
+        match usize::try_from(id).ok().and_then(|i| self.dense.get(i)) {
+            Some(&slot) if slot != ABSENT => Some(slot),
+            // An id can sit in `sparse` and later fall inside the grown
+            // dense range.
+            _ => self.sparse.get(&id).copied(),
+        }
+    }
+
+    /// The slot of `id`, and whether this is its first mention.
+    fn slot(&mut self, id: u64) -> (u32, bool) {
+        if let Some(slot) = self.get(id) {
+            return (slot, false);
+        }
+        // `u32` keeps records small. A trace reaching 2³² ids would hold
+        // hundreds of gigabytes of parsed events first.
+        let slot = self.len;
+        self.len = self.len.saturating_add(1);
+        let bound = 2 * u64::from(self.len) + DENSE_SLACK;
+        match usize::try_from(id).ok().filter(|_| id < bound) {
+            Some(i) => {
+                if i >= self.dense.len() {
+                    self.dense.resize(i + 1, ABSENT);
+                }
+                self.dense[i] = slot;
+            }
+            None => {
+                self.sparse.insert(id, slot);
+            }
+        }
+        (slot, true)
     }
 }
 
@@ -394,7 +498,7 @@ impl Timelines {
     /// The record of `query`; empty when the trace never mentioned it.
     pub(crate) fn query(&self, query: u64) -> &QueryRecord {
         self.ids
-            .get(&query)
+            .get(query)
             .map_or(&UNSEEN, |slot| &self.queries[slot as usize])
     }
 
@@ -575,11 +679,23 @@ fn push_span(out: &mut Vec<Span>, segment: Segment, lo: u64, hi: u64) {
     });
 }
 
-/// Buffers one tree's sweep leaves behind for the next.
+/// Buffers one tree leaves behind for the next: the sweep's, and the span
+/// and edge lists of a tree handed back by [`Scratch::recycle`].
 #[derive(Default)]
 struct Scratch {
     intervals: Vec<(SimTime, SimTime, Class)>,
     cuts: Vec<u64>,
+    spans: Vec<Span>,
+    edges: Vec<CausalEdge>,
+}
+
+impl Scratch {
+    /// Keeps the lists of a tree that is no longer needed for the next.
+    fn recycle(&mut self, tree: SpanTree) {
+        (self.spans, self.edges) = (tree.spans, tree.edges);
+        self.spans.clear();
+        self.edges.clear();
+    }
 }
 
 /// Builds the span tree of one terminal event. `terminal` is the
@@ -600,8 +716,8 @@ fn build_tree(t: &Timelines, terminal: &TraceEvent, scratch: &mut Scratch) -> Op
         .as_deref()
         .map_or((&[][..], &[][..]), |s| (&s.rolled_back[..], &s.retries[..]));
     let own = |slot| record.serving == Some(slot) || rolled_back.contains(&slot);
-    let mut spans = Vec::new();
-    let mut edges = Vec::new();
+    let mut spans = std::mem::take(&mut scratch.spans);
+    let mut edges = std::mem::take(&mut scratch.edges);
 
     for &(from, attempt) in retries {
         edges.push(CausalEdge::RetriedAfterCrash {
@@ -724,19 +840,27 @@ fn build_tree(t: &Timelines, terminal: &TraceEvent, scratch: &mut Scratch) -> Op
 /// Folds a trace into one span tree per terminal query, in terminal-event
 /// order.
 pub fn span_trees(events: &[TraceEvent]) -> Vec<SpanTree> {
-    trees_from(&harvest(events), events)
+    map_trees(&harvest(events), events, SpanTree::clone)
 }
 
-/// [`span_trees`] over timelines already harvested from `events`.
-pub(crate) fn trees_from(t: &Timelines, events: &[TraceEvent]) -> Vec<SpanTree> {
+/// Builds the span tree of every terminal in `t`, in terminal-event order,
+/// and hands each to `f`: [`span_trees`] keeps a copy of each tree, the
+/// diff folds each into a fixed-size summary. One tree's span and edge
+/// lists are reused for the next.
+pub(crate) fn map_trees<T>(
+    t: &Timelines,
+    events: &[TraceEvent],
+    mut f: impl FnMut(&SpanTree) -> T,
+) -> Vec<T> {
     let mut scratch = Scratch::default();
-    let mut trees = Vec::with_capacity(t.terminals.len());
-    trees.extend(
-        t.terminals
-            .iter()
-            .filter_map(|&i| build_tree(t, &events[i], &mut scratch)),
-    );
-    trees
+    let mut out = Vec::with_capacity(t.terminals.len());
+    for &i in &t.terminals {
+        if let Some(tree) = build_tree(t, &events[i], &mut scratch) {
+            out.push(f(&tree));
+            scratch.recycle(tree);
+        }
+    }
+    out
 }
 
 /// The span tree of one query, if it reached a terminal event.
@@ -752,23 +876,33 @@ pub fn span_tree(events: &[TraceEvent], query: u64) -> Option<SpanTree> {
 /// trees: one `family;device;segment <microseconds>` frame stack per
 /// aggregate, sorted for deterministic output. Feed the result to any
 /// flamegraph renderer to see where the cluster's latency went.
+///
+/// Trees are aggregated on their typed `(family, device)` key, one total
+/// per segment; each line is formatted once, after aggregation.
 pub fn collapse_flame(trees: &[SpanTree]) -> String {
-    let mut agg: HashMap<(String, String, Segment), u64> = HashMap::new();
+    let mut agg: IdMap<(Option<ModelFamily>, Option<DeviceId>), [u64; Segment::ALL.len()]> =
+        IdMap::default();
     for tree in trees {
-        let family = tree.family.map_or("unknown", |f| f.label()).to_string();
-        let device = tree.device.map_or("none".to_string(), |d| d.to_string());
+        let totals = agg.entry((tree.family, tree.device)).or_default();
         for s in &tree.spans {
-            *agg.entry((family.clone(), device.clone(), s.segment))
-                .or_insert(0) += s.dur().as_nanos();
+            totals[s.segment as usize] += s.dur().as_nanos();
         }
     }
-    let mut lines: Vec<String> = agg
-        .into_iter()
-        .filter(|&(_, nanos)| nanos >= 1_000)
-        .map(|((family, device, segment), nanos)| {
-            format!("{family};{device};{} {}", segment.label(), nanos / 1_000)
-        })
-        .collect();
+    let mut lines = Vec::new();
+    for ((family, device), totals) in agg {
+        let family = family.map_or("unknown", ModelFamily::label);
+        let device = device.map_or_else(|| "none".to_string(), |d| d.to_string());
+        for segment in Segment::ALL {
+            let nanos = totals[segment as usize];
+            if nanos >= 1_000 {
+                lines.push(format!(
+                    "{family};{device};{} {}",
+                    segment.label(),
+                    nanos / 1_000
+                ));
+            }
+        }
+    }
     lines.sort_unstable();
     let mut out = lines.join("\n");
     if !out.is_empty() {
@@ -1288,6 +1422,84 @@ mod tests {
         let flame = collapse_flame(&span_trees(&queued_trace()));
         assert_eq!(flame, "ResNet;d0;exec 100000\nResNet;d0;queue 100000\n");
         assert_eq!(collapse_flame(&[]), "");
+
+        // A tree with `nanos` of exec and, when `wait` is set, as much
+        // batch-wait before it.
+        let tree = |family, device, nanos: u64, wait: bool| {
+            let span = |segment, start: u64| Span {
+                segment,
+                start: SimTime::from_nanos(start),
+                end: SimTime::from_nanos(start + nanos),
+            };
+            let mut spans = vec![span(Segment::Exec, nanos)];
+            if wait {
+                spans.insert(0, span(Segment::BatchWait, 0));
+            }
+            SpanTree {
+                query: 0,
+                start: SimTime::ZERO,
+                end: SimTime::from_nanos(2 * nanos),
+                outcome: Outcome::OnTime,
+                family,
+                device,
+                epoch: 0,
+                spans,
+                edges: Vec::new(),
+            }
+        };
+        let resnet = Some(ModelFamily::ResNet);
+        // No family renders as `unknown`, no device as `none`.
+        assert_eq!(
+            collapse_flame(&[tree(None, Some(DeviceId(3)), 5_000, false)]),
+            "unknown;d3;exec 5\n"
+        );
+        assert_eq!(
+            collapse_flame(&[tree(resnet, None, 5_000, false)]),
+            "ResNet;none;exec 5\n"
+        );
+        // Trees with the same key merge into one line per segment.
+        assert_eq!(
+            collapse_flame(&[
+                tree(resnet, Some(DeviceId(1)), 2_000, true),
+                tree(resnet, Some(DeviceId(1)), 3_000, false),
+            ]),
+            "ResNet;d1;batch_wait 2\nResNet;d1;exec 5\n"
+        );
+        // An aggregate under 1 µs is dropped; two that add up to 1 µs or
+        // more are not.
+        assert_eq!(
+            collapse_flame(&[tree(resnet, Some(DeviceId(1)), 999, false)]),
+            ""
+        );
+        assert_eq!(
+            collapse_flame(&[
+                tree(resnet, Some(DeviceId(1)), 600, false),
+                tree(resnet, Some(DeviceId(1)), 600, false),
+            ]),
+            "ResNet;d1;exec 1\n"
+        );
+    }
+
+    #[test]
+    fn query_ids_keep_every_slot_across_the_dense_and_sparse_ranges() {
+        // Sequential ids, ids past the dense range that it later grows
+        // over, ids at and near the top of the range, and repeats.
+        let mut ids: Vec<u64> = vec![10_000, u64::MAX, 1 << 32, 0];
+        ids.extend(1..8_000);
+        ids.extend([10_000, 9_999, u64::MAX - 1, 3, 1 << 32, 12_000]);
+        let mut index = QueryIds::default();
+        let mut reference: HashMap<u64, u32> = HashMap::new();
+        for id in ids {
+            let next = reference.len() as u32;
+            let want = *reference.entry(id).or_insert(next);
+            assert_eq!(index.slot(id), (want, want == next), "id {id}");
+        }
+        for (&id, &slot) in &reference {
+            assert_eq!(index.get(id), Some(slot), "id {id}");
+        }
+        assert_eq!(index.get(11_000), None);
+        assert_eq!(index.get(12_001), None);
+        assert_eq!(index.get(u64::MAX - 2), None);
     }
 
     /// xorshift64*: a dependency-free generator for the property test.

@@ -22,9 +22,10 @@
 //!   and the count of events delivered out of time order (always 0);
 //! - the batch-buffer pool's: buffers reused and freshly allocated;
 //! - the MILP solver's, summed over every replan: branch-and-bound nodes,
-//!   simplex iterations, warm-started and cold node solves. The solver has
-//!   no wall-clock termination, so these are exact; its wall time is not
-//!   pinned.
+//!   simplex iterations, warm-started and cold node solves, and the
+//!   simplex iterations of the warm-start hint LPs solved before each
+//!   search. The solver has no wall-clock termination, so these are exact;
+//!   its wall time is not pinned.
 //!
 //! The fingerprint leaves these out, so without this pin an event-queue
 //! rework could change how many events a run takes, how deep the queue
@@ -55,7 +56,8 @@ fn kernel_counters(outcome: &RunOutcome) -> String {
     format!(
         "kernel: events_delivered={} peak_event_queue={} time_regressions={} \
          batch_buffers_reused={} batch_buffers_allocated={} \
-         solver: nodes={} simplex_iterations={} warm_starts={} cold_solves={}",
+         solver: nodes={} simplex_iterations={} warm_starts={} cold_solves={} \
+         hint_iterations={}",
         hot.events_delivered,
         hot.peak_event_queue,
         hot.time_regressions,
@@ -64,7 +66,8 @@ fn kernel_counters(outcome: &RunOutcome) -> String {
         solver.nodes,
         solver.simplex_iterations,
         solver.warm_starts,
-        solver.cold_solves
+        solver.cold_solves,
+        solver.hint_iterations
     )
 }
 

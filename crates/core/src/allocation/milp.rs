@@ -30,7 +30,7 @@
 //! the artifact's default) and re-solved, as §4 prescribes.
 
 use proteus_profiler::{DeviceId, DeviceType, ModelFamily, VariantId};
-use proteus_solver::{LinearProgram, MilpSolver, Relation, SolveError, SolveStats, VarId};
+use proteus_solver::{simplex, LinearProgram, MilpSolver, Relation, SolveError, SolveStats, VarId};
 
 use crate::allocation::{AllocContext, AllocationPlan};
 use crate::FamilyMap;
@@ -287,12 +287,15 @@ struct Pair {
     variant: VariantId,
     accuracy: f64,
     peak_qps: f64,
+    /// Live devices of `device_type`.
+    live: usize,
 }
 
 fn candidate_pairs(ctx: &AllocContext<'_>, config: &MilpConfig) -> Vec<Pair> {
     let mut pairs = Vec::new();
     for device_type in DeviceType::ALL {
-        if ctx.up_count_of(device_type) == 0 {
+        let live = ctx.up_count_of(device_type);
+        if live == 0 {
             continue;
         }
         for variant in ctx.zoo.iter() {
@@ -310,23 +313,84 @@ fn candidate_pairs(ctx: &AllocContext<'_>, config: &MilpConfig) -> Vec<Pair> {
                 variant: variant.id(),
                 accuracy: variant.accuracy(),
                 peak_qps: profile.peak_qps(),
+                live,
             });
         }
     }
     pairs
 }
 
-/// Type-aggregated exact encoding.
+/// Live replicas of the current plan per candidate pair, and whether every
+/// live replica has a pair (a device may host a variant the restriction or
+/// its profile now excludes).
+fn live_replicas(ctx: &AllocContext<'_>, pairs: &[Pair], cur: &AllocationPlan) -> (Vec<u32>, bool) {
+    let mut counts = vec![0u32; pairs.len()];
+    let mut paired = true;
+    for (device, variant) in cur.assignments() {
+        // A down device's replica is already lost.
+        if !ctx.is_up(device) {
+            continue;
+        }
+        let idx = ctx.cluster.device(device).and_then(|spec| {
+            pairs
+                .iter()
+                .position(|p| p.device_type == spec.device_type && p.variant == variant)
+        });
+        match idx {
+            Some(i) => counts[i] += 1,
+            None => paired = false,
+        }
+    }
+    (counts, paired)
+}
+
+/// The type-aggregated program of one solve attempt.
+struct AggregatedProgram {
+    pairs: Vec<Pair>,
+    lp: LinearProgram,
+    /// `n(t,m)` per pair.
+    n_vars: Vec<VarId>,
+    /// `z(t,m)` per pair.
+    z_vars: Vec<VarId>,
+    /// The current plan's live replicas per pair, when there is a current
+    /// plan and every live replica has a pair; otherwise no hint is tried.
+    hint_counts: Option<Vec<u32>>,
+}
+
+impl AggregatedProgram {
+    /// Bounds of the warm-start hint LP: every replica count fixed to the
+    /// current plan's, so the simplex only re-fits the rates. A group with
+    /// no replica also has its rate pinned to zero. Eq. 5 with `n = 0`
+    /// already forces `z ≤ 0`, so the optimum is the same; a fixed column
+    /// just never enters the basis, which saves the degenerate pivots
+    /// Dantzig's rule would otherwise spend on it.
+    fn hint_bounds(&self) -> Option<Vec<(f64, f64)>> {
+        let counts = self.hint_counts.as_ref()?;
+        let mut bounds = self.lp.all_bounds();
+        for ((&n, &z), &count) in self.n_vars.iter().zip(&self.z_vars).zip(counts) {
+            let fixed = f64::from(count);
+            bounds[n.index()] = (fixed, fixed);
+            if count == 0 {
+                bounds[z.index()] = (0.0, 0.0);
+            }
+        }
+        Some(bounds)
+    }
+}
+
+/// Builds the type-aggregated exact encoding.
 ///
-/// Returns the solve attempt alongside the stats it cost, so callers can
-/// account for infeasible rounds in the replan's total solver bill.
-fn solve_aggregated(
+/// # Errors
+///
+/// Returns [`SolveError::Infeasible`] when strict demand falls on a family
+/// no live device can host.
+fn build_aggregated(
     ctx: &AllocContext<'_>,
     demand: &FamilyMap<f64>,
     current: Option<&AllocationPlan>,
     config: &MilpConfig,
     mode: DemandMode,
-) -> (Result<AllocationPlan, SolveError>, SolveStats) {
+) -> Result<AggregatedProgram, SolveError> {
     let pairs = candidate_pairs(ctx, config);
     let mut lp = LinearProgram::maximize();
 
@@ -334,23 +398,12 @@ fn solve_aggregated(
     let mut n_vars = Vec::with_capacity(pairs.len());
     let mut z_vars = Vec::with_capacity(pairs.len());
     for p in &pairs {
-        let count = ctx.up_count_of(p.device_type) as f64;
-        n_vars.push(lp.add_integer(
-            format!("n_{}_{}", p.device_type, p.variant),
-            0.0,
-            count,
-            -REPLICA_PENALTY,
-        ));
+        n_vars.push(lp.add_integer("n", 0.0, p.live as f64, -REPLICA_PENALTY));
         let mut obj = if config.fairness { 0.0 } else { p.accuracy };
         if mode == DemandMode::Soft {
             obj += SERVE_WEIGHT;
         }
-        z_vars.push(lp.add_continuous(
-            format!("z_{}_{}", p.device_type, p.variant),
-            0.0,
-            f64::INFINITY,
-            obj,
-        ));
+        z_vars.push(lp.add_continuous("z", 0.0, f64::INFINITY, obj));
     }
 
     // Eq. 1 (aggregated): replicas per type bounded by the device count.
@@ -361,31 +414,17 @@ fn solve_aggregated(
             .filter(|(p, _)| p.device_type == device_type)
             .map(|(_, &v)| (v, 1.0))
             .collect();
-        if !terms.is_empty() {
-            lp.add_constraint(terms, Relation::Le, ctx.up_count_of(device_type) as f64);
+        if let Some(p) = pairs.iter().find(|p| p.device_type == device_type) {
+            lp.add_constraint(terms, Relation::Le, p.live as f64);
         }
     }
 
+    let current_counts = current.map(|cur| live_replicas(ctx, &pairs, cur));
+
     // Swap-cost credit: `keep(t,m) ≤ min(n(t,m), current count)` earns the
     // serving capacity a model swap would forfeit during its load window.
-    if let (Some(swap), Some(cur)) = (config.swap_cost, current) {
-        let mut cur_counts = vec![0u32; pairs.len()];
-        for (device, variant) in cur.assignments() {
-            // A down device's replica is already lost: keeping it earns no
-            // swap credit.
-            if !ctx.is_up(device) {
-                continue;
-            }
-            if let Some(spec) = ctx.cluster.device(device) {
-                if let Some(idx) = pairs
-                    .iter()
-                    .position(|p| p.device_type == spec.device_type && p.variant == variant)
-                {
-                    cur_counts[idx] += 1;
-                }
-            }
-        }
-        for ((p, &n), &cur_n) in pairs.iter().zip(&n_vars).zip(&cur_counts) {
+    if let (Some(swap), Some((cur_counts, _))) = (config.swap_cost, &current_counts) {
+        for ((p, &n), &cur_n) in pairs.iter().zip(&n_vars).zip(cur_counts) {
             if cur_n == 0 {
                 continue;
             }
@@ -399,12 +438,7 @@ fn solve_aggregated(
             if credit <= 0.0 {
                 continue;
             }
-            let keep = lp.add_continuous(
-                format!("keep_{}_{}", p.device_type, p.variant),
-                0.0,
-                cur_n as f64,
-                credit,
-            );
+            let keep = lp.add_continuous("keep", 0.0, cur_n as f64, credit);
             lp.add_constraint(vec![(keep, 1.0), (n, -1.0)], Relation::Le, 0.0);
         }
     }
@@ -426,7 +460,7 @@ fn solve_aggregated(
             .collect();
         if terms.is_empty() {
             if demand[family] > 0.0 && mode == DemandMode::Strict {
-                return (Err(SolveError::Infeasible), SolveStats::default());
+                return Err(SolveError::Infeasible);
             }
             continue;
         }
@@ -459,44 +493,70 @@ fn solve_aggregated(
         }
     }
 
+    // The hint gives up when a live device hosts a variant with no pair.
+    let hint_counts = current_counts
+        .filter(|(_, paired)| *paired)
+        .map(|(counts, _)| counts);
+    Ok(AggregatedProgram {
+        pairs,
+        lp,
+        n_vars,
+        z_vars,
+        hint_counts,
+    })
+}
+
+/// Type-aggregated exact encoding.
+///
+/// Returns the solve attempt alongside the stats it cost, so callers can
+/// account for infeasible rounds in the replan's total solver bill.
+fn solve_aggregated(
+    ctx: &AllocContext<'_>,
+    demand: &FamilyMap<f64>,
+    current: Option<&AllocationPlan>,
+    config: &MilpConfig,
+    mode: DemandMode,
+) -> (Result<AllocationPlan, SolveError>, SolveStats) {
+    let program = match build_aggregated(ctx, demand, current, config, mode) {
+        Ok(program) => program,
+        Err(e) => return (Err(e), SolveStats::default()),
+    };
+
     // Warm start: fix the replica counts to the current plan's and let the
     // simplex re-fit the rates; if that is feasible under the new demand it
     // seeds branch & bound with an immediate incumbent.
-    let hint = current.and_then(|cur| {
-        let mut counts = vec![0u32; pairs.len()];
-        for (device, variant) in cur.assignments() {
-            if !ctx.is_up(device) {
-                continue;
-            }
-            let spec = ctx.cluster.device(device)?;
-            let idx = pairs
-                .iter()
-                .position(|p| p.device_type == spec.device_type && p.variant == variant)?;
-            counts[idx] += 1;
+    let (hint, hint_iterations) = match program.hint_bounds() {
+        Some(bounds) => {
+            let (result, iterations) = simplex::solve_with_bounds_counted(&program.lp, &bounds);
+            (result.ok().map(|s| s.values().to_vec()), iterations)
         }
-        let mut bounds = lp.all_bounds();
-        for (i, &n) in n_vars.iter().zip(&counts) {
-            bounds[i.index()] = (n as f64, n as f64);
-        }
-        proteus_solver::simplex::solve_with_bounds(&lp, &bounds)
-            .ok()
-            .map(|s| s.values().to_vec())
-    });
-    let (attempt, stats) = config.solver.solve_attempt(&lp, hint.as_deref());
+        None => (None, 0),
+    };
+    let (attempt, mut stats) = config.solver.solve_attempt(&program.lp, hint.as_deref());
+    stats.hint_iterations = hint_iterations;
     let solution = match attempt {
         Ok(s) => s,
         Err(e) => return (Err(e), stats),
     };
 
     // Decode group counts and rates.
-    let counts: Vec<u32> = n_vars
+    let counts: Vec<u32> = program
+        .n_vars
         .iter()
         .map(|&v| solution.value(v).round() as u32)
         .collect();
-    let rates: Vec<f64> = z_vars.iter().map(|&v| solution.value(v).max(0.0)).collect();
+    let rates: Vec<f64> = program
+        .z_vars
+        .iter()
+        .map(|&v| solution.value(v).max(0.0))
+        .collect();
     (
         Ok(expand_aggregated(
-            ctx, &pairs, &counts, &rates, demand, current,
+            ctx,
+            &program.pairs,
+            &counts,
+            &rates,
+            current,
         )),
         stats,
     )
@@ -509,7 +569,6 @@ fn expand_aggregated(
     pairs: &[Pair],
     counts: &[u32],
     rates: &[f64],
-    demand: &FamilyMap<f64>,
     current: Option<&AllocationPlan>,
 ) -> AllocationPlan {
     let mut plan = AllocationPlan::empty(ctx.cluster.len());
@@ -601,7 +660,6 @@ fn expand_aggregated(
         plan.set_routing(family, entries);
         plan.set_capacity(family, capacity[family]);
     }
-    let _ = demand;
     plan
 }
 
@@ -1071,6 +1129,121 @@ mod tests {
             "losing a device cannot increase capacity"
         );
         assert!(degraded.plan.capacity(ModelFamily::EfficientNet) > 0.0);
+    }
+
+    /// Equal bit for bit, with `-0.0` and `+0.0` treated as equal (adding
+    /// `+0.0` maps `-0.0` to `+0.0` and leaves every other value alone).
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| (x + 0.0).to_bits() == (y + 0.0).to_bits())
+    }
+
+    #[test]
+    fn zero_replica_rate_pins_leave_the_hint_unchanged() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let env = Env::new(20, 10, 10);
+        let all_pairs = candidate_pairs(&env.ctx(), &MilpConfig::default());
+        let mut rng = StdRng::seed_from_u64(0x5eed_4e47);
+        let below = |rng: &mut StdRng, n: usize| (rng.random::<f64>() * n as f64) as usize;
+        let (mut feasible, mut infeasible, mut gave_up, mut pinned) = (0, 0, 0, 0);
+        let (mut iters_pinned, mut iters_free) = (0u64, 0u64);
+        for case in 0..1000 {
+            // Demand: light, moderate, or beyond the cluster's capacity
+            // (strict rounds fail there and the soft fallback takes over).
+            let scale = [40.0, 400.0, 20_000.0][below(&mut rng, 3)];
+            let demand = FamilyMap::from_fn(|_| (rng.random::<f64>() * scale).max(0.25));
+            // Down set: each device fails with probability 0.15.
+            let down: Vec<DeviceId> = env
+                .cluster
+                .iter()
+                .filter(|_| rng.random::<f64>() < 0.15)
+                .map(|d| d.id)
+                .collect();
+            let ctx = env.ctx_down(&down);
+            // Current plan: a random candidate variant of the device's type
+            // on most devices; in some cases one device hosts a variant no
+            // pair has, and if that device is live the hint must give up.
+            let mut cur = AllocationPlan::empty(env.cluster.len());
+            for d in env.cluster.iter() {
+                let of_type: Vec<&Pair> = all_pairs
+                    .iter()
+                    .filter(|p| p.device_type == d.device_type)
+                    .collect();
+                if rng.random::<f64>() < 0.7 {
+                    cur.assign(d.id, Some(of_type[below(&mut rng, of_type.len())].variant));
+                }
+            }
+            let mut unpaired = false;
+            if rng.random::<f64>() < 0.1 {
+                let d = DeviceId(below(&mut rng, env.cluster.len()) as u32);
+                let family = ModelFamily::ALL[below(&mut rng, ModelFamily::ALL.len())];
+                cur.assign(d, Some(VariantId { family, index: 200 }));
+                unpaired = ctx.is_up(d);
+            }
+            let config = MilpConfig {
+                fairness: rng.random::<bool>(),
+                swap_cost: rng.random::<bool>().then(SwapCost::default),
+                ..MilpConfig::default()
+            };
+            for mode in [DemandMode::Strict, DemandMode::Soft] {
+                let Ok(program) = build_aggregated(&ctx, &demand, Some(&cur), &config, mode) else {
+                    continue;
+                };
+                let Some(bounds) = program.hint_bounds() else {
+                    assert!(unpaired, "case {case}: the hint gave up on a paired plan");
+                    gave_up += 1;
+                    continue;
+                };
+                assert!(!unpaired, "case {case}: a live replica has no pair");
+                // The same bounds with every rate column left free.
+                let original = program.lp.all_bounds();
+                let mut free = bounds.clone();
+                for &z in &program.z_vars {
+                    free[z.index()] = original[z.index()];
+                }
+                pinned += program
+                    .hint_counts
+                    .iter()
+                    .flatten()
+                    .filter(|&&c| c == 0)
+                    .count();
+                let (with_pins, n_pinned) =
+                    simplex::solve_with_bounds_counted(&program.lp, &bounds);
+                let (without, n_free) = simplex::solve_with_bounds_counted(&program.lp, &free);
+                iters_pinned += n_pinned;
+                iters_free += n_free;
+                match (&with_pins, &without) {
+                    (Ok(a), Ok(b)) => {
+                        assert!(
+                            same_bits(a.values(), b.values()),
+                            "case {case} {mode:?}: pinned hint {:?} != unpinned {:?}",
+                            a.values(),
+                            b.values()
+                        );
+                        feasible += 1;
+                    }
+                    (Err(a), Err(b)) => {
+                        assert_eq!(a, b, "case {case} {mode:?}");
+                        infeasible += 1;
+                    }
+                    _ => panic!("case {case} {mode:?}: {with_pins:?} vs {without:?}"),
+                }
+            }
+        }
+        // The cases reach every branch: feasible and infeasible hints, the
+        // give-up rule, and pinned columns that saved pivots.
+        assert!(feasible >= 500, "{feasible} feasible hints");
+        assert!(infeasible >= 500, "{infeasible} infeasible hints");
+        assert!(gave_up >= 100, "{gave_up} hints gave up");
+        assert!(pinned > 0);
+        assert!(
+            iters_pinned < iters_free,
+            "pins cost pivots: {iters_pinned} vs {iters_free}"
+        );
     }
 
     #[test]

@@ -30,6 +30,13 @@ pub struct SolveStats {
     pub warm_starts: u64,
     /// Node relaxations that paid the cold two-phase solve.
     pub cold_solves: u64,
+    /// Simplex iterations of the warm-start hint LP solved before the
+    /// search (counted by [`simplex::solve_with_bounds_counted`]). The
+    /// caller that solves the hint sets it; `simplex_iterations` counts
+    /// the search alone.
+    ///
+    /// [`simplex::solve_with_bounds_counted`]: crate::simplex::solve_with_bounds_counted
+    pub hint_iterations: u64,
     /// Wall-clock time of the whole solve.
     pub wall: Duration,
 }
@@ -58,6 +65,7 @@ impl SolveStats {
         self.simplex_iterations += other.simplex_iterations;
         self.warm_starts += other.warm_starts;
         self.cold_solves += other.cold_solves;
+        self.hint_iterations += other.hint_iterations;
         self.wall += other.wall;
     }
 }
@@ -658,6 +666,7 @@ mod tests {
             simplex_iterations: 40,
             warm_starts: 2,
             cold_solves: 1,
+            hint_iterations: 7,
             wall: Duration::from_millis(5),
         };
         let b = SolveStats {
@@ -666,6 +675,7 @@ mod tests {
             simplex_iterations: 10,
             warm_starts: 1,
             cold_solves: 1,
+            hint_iterations: 4,
             wall: Duration::from_millis(3),
         };
         a += b;
@@ -673,6 +683,7 @@ mod tests {
         assert_eq!(a.simplex_iterations, 50);
         assert_eq!(a.warm_starts, 3);
         assert_eq!(a.cold_solves, 2);
+        assert_eq!(a.hint_iterations, 11);
         assert_eq!(a.wall, Duration::from_millis(8));
         assert!((a.warm_hit_rate() - 0.6).abs() < 1e-12);
         assert!(a.wall_secs() > 0.0);

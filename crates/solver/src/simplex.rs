@@ -110,9 +110,42 @@ pub fn solve_with_bounds(
     lp: &LinearProgram,
     bounds: &[(f64, f64)],
 ) -> Result<Solution, SolveError> {
+    solve_with_bounds_counted(lp, bounds).0
+}
+
+/// Like [`solve_with_bounds`], but also returns the simplex iterations the
+/// cold two-phase solve took (primal pivots and bound flips of both
+/// phases), whether or not it succeeded: a solve that proves the program
+/// infeasible costs iterations too.
+///
+/// # Errors
+///
+/// The result is [`SolveError::Infeasible`] or [`SolveError::Unbounded`].
+///
+/// # Panics
+///
+/// Panics if `bounds.len() != lp.num_variables()` or any lower bound is
+/// non-finite.
+///
+/// # Examples
+///
+/// ```
+/// use proteus_solver::{simplex, LinearProgram, Relation};
+///
+/// let mut lp = LinearProgram::maximize();
+/// let x = lp.add_continuous("x", 0.0, f64::INFINITY, 1.0);
+/// lp.add_constraint(vec![(x, 2.0)], Relation::Le, 6.0);
+/// let (sol, iterations) = simplex::solve_with_bounds_counted(&lp, &lp.all_bounds());
+/// assert!((sol.unwrap().value(x) - 3.0).abs() < 1e-9);
+/// assert!(iterations >= 1);
+/// ```
+pub fn solve_with_bounds_counted(
+    lp: &LinearProgram,
+    bounds: &[(f64, f64)],
+) -> (Result<Solution, SolveError>, u64) {
     let mut ws = Workspace::new();
-    ws.cold_solve(lp, bounds)?;
-    ws.extract(lp)
+    let result = ws.cold_solve(lp, bounds).and_then(|()| ws.extract(lp));
+    (result, ws.iterations)
 }
 
 /// A reusable simplex state: tableau, basis and reduced costs survive
@@ -263,16 +296,21 @@ impl Workspace {
         let Some(tab) = self.tab.as_ref() else {
             return Err(SolveError::Internal("extract() before a solve"));
         };
+        // One pass over the basis: the value of each basic structural
+        // column, from the first row that holds it.
+        let mut basic: Vec<Option<f64>> = vec![None; tab.n];
+        for (&b, &x) in tab.basis.iter().zip(&tab.xb) {
+            if let Some(slot) = basic.get_mut(b) {
+                slot.get_or_insert(x);
+            }
+        }
         let mut values = vec![0.0f64; tab.n];
         for (j, value) in values.iter_mut().enumerate() {
             *value = match tab.state[j] {
                 ColState::AtLower => tab.lower[j],
                 ColState::AtUpper => tab.upper[j],
                 ColState::Basic => {
-                    let r = (0..tab.m)
-                        .find(|&r| tab.basis[r] == j)
-                        .ok_or(SolveError::Internal("basic column missing from basis"))?;
-                    tab.xb[r]
+                    basic[j].ok_or(SolveError::Internal("basic column missing from basis"))?
                 }
             };
             // Snap float dust onto the box.

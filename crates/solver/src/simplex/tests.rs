@@ -328,3 +328,39 @@ fn warm_restart_chain_stays_exact() {
         }
     }
 }
+
+#[test]
+fn counted_solve_reports_the_iterations_of_failed_solves_too() {
+    let mut lp = LinearProgram::maximize();
+    let x = lp.add_continuous("x", 0.0, 10.0, 1.0);
+    let y = lp.add_continuous("y", 0.0, 10.0, 1.0);
+    lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 2.0);
+    lp.add_constraint(vec![(x, 1.0)], Relation::Ge, 1.0);
+
+    let (solved, iterations) = solve_with_bounds_counted(&lp, &lp.all_bounds());
+    assert_eq!(solved, solve(&lp));
+    assert!(iterations >= 1);
+    // Phase 1 pivots before it proves y ≥ 1.5 (with x ≥ 1) infeasible.
+    let (infeasible, iterations) = solve_with_bounds_counted(&lp, &[(0.0, 10.0), (1.5, 10.0)]);
+    assert_eq!(infeasible, Err(SolveError::Infeasible));
+    assert!(iterations >= 1);
+    // An empty box fails before any pivot.
+    let (empty, iterations) = solve_with_bounds_counted(&lp, &[(4.0, 3.0), (0.0, 10.0)]);
+    assert_eq!(empty, Err(SolveError::Infeasible));
+    assert_eq!(iterations, 0);
+}
+
+#[test]
+fn extract_reports_a_basic_column_missing_from_the_basis() {
+    let mut lp = LinearProgram::maximize();
+    let x = lp.add_continuous("x", 0.0, f64::INFINITY, 1.0);
+    lp.add_constraint(vec![(x, 2.0)], Relation::Le, 6.0);
+    let mut ws = Workspace::new();
+    ws.cold_solve(&lp, &lp.all_bounds()).unwrap();
+    assert_close(ws.extract(&lp).unwrap().value(x), 3.0);
+    // Corrupt the basis: x stays marked basic but no row holds it.
+    let tab = ws.tab.as_mut().unwrap();
+    assert_eq!(tab.state[x.index()], ColState::Basic);
+    tab.basis[0] = tab.n;
+    assert!(matches!(ws.extract(&lp), Err(SolveError::Internal(_))));
+}

@@ -626,6 +626,87 @@ mod tests {
     }
 
     #[test]
+    fn catches_routing_to_empty_device() {
+        let env = Env::new();
+        let d = demand();
+        let mut plan = solved_plan(&env, &d);
+        let empty = (0..env.cluster.len() as u32)
+            .map(DeviceId)
+            .find(|&device| plan.assignment(device).is_none())
+            .expect("the demand leaves a device empty");
+        let mut entries = plan.routing(ModelFamily::ResNet).to_vec();
+        entries.push((empty, 1.0));
+        plan.set_routing(ModelFamily::ResNet, entries);
+        let report = audit_plan(&env.ctx(), &d, &plan);
+        assert!(
+            report
+                .violations
+                .contains(&PlanViolation::RoutingToEmptyDevice {
+                    family: ModelFamily::ResNet,
+                    device: empty,
+                }),
+            "expected routing-to-empty-device, got: {report}"
+        );
+    }
+
+    #[test]
+    fn catches_slo_infeasible_assignment() {
+        let env = Env::new();
+        let d = demand();
+        let mut plan = solved_plan(&env, &d);
+        // A variant that fits a CPU's memory but cannot meet its family's
+        // SLO there, even at batch 1.
+        let variant = env
+            .zoo
+            .iter()
+            .find(|v| {
+                v.memory_at_batch(1) <= DeviceType::Cpu.memory_mib()
+                    && !env
+                        .store
+                        .profile(v.id(), DeviceType::Cpu)
+                        .is_some_and(|p| p.is_feasible())
+            })
+            .expect("some variant is too slow for a CPU")
+            .id();
+        let cpu = env
+            .cluster
+            .iter()
+            .find(|s| s.device_type == DeviceType::Cpu)
+            .unwrap()
+            .id;
+        plan.assign(cpu, Some(variant));
+        let report = audit_plan(&env.ctx(), &d, &plan);
+        assert!(
+            report.violations.contains(&PlanViolation::SloInfeasible {
+                device: cpu,
+                variant,
+            }),
+            "expected slo-infeasible, got: {report}"
+        );
+    }
+
+    #[test]
+    fn catches_duplicate_routing() {
+        let env = Env::new();
+        let d = demand();
+        let mut plan = solved_plan(&env, &d);
+        let mut entries = plan.routing(ModelFamily::EfficientNet).to_vec();
+        let (device, _) = entries[0];
+        entries.push((device, 0.0));
+        plan.set_routing(ModelFamily::EfficientNet, entries);
+        let report = audit_plan(&env.ctx(), &d, &plan);
+        assert!(
+            report
+                .violations
+                .contains(&PlanViolation::DuplicateRouting {
+                    family: ModelFamily::EfficientNet,
+                    device,
+                }),
+            "expected duplicate-routing, got: {report}"
+        );
+    }
+
+    #[test]
     fn report_display_names_kinds() {
         let env = Env::new();
         let d = demand();

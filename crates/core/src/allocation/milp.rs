@@ -111,12 +111,6 @@ pub struct MilpConfig {
     /// Swap-cost credit for keeping current replicas (`None` = churn
     /// freely).
     pub swap_cost: Option<SwapCost>,
-    /// Demand shrink factor β applied on infeasibility (§4; artifact default
-    /// 1.05).
-    pub shrink_beta: f64,
-    /// Maximum shrink-and-retry rounds before switching to the soft-demand
-    /// fallback.
-    pub max_shrink_rounds: u32,
     /// §7 extension: maximize the *minimum* per-family accuracy instead of
     /// the demand-weighted mean (fairness objective).
     pub fairness: bool,
@@ -139,8 +133,6 @@ impl Default for MilpConfig {
             formulation: Formulation::default(),
             restriction: VariantRestriction::default(),
             swap_cost: Some(SwapCost::default()),
-            shrink_beta: 1.05,
-            max_shrink_rounds: 10,
             fairness: false,
             solver,
         }
@@ -159,6 +151,13 @@ pub struct MilpOutcome {
     /// Demand shrink factor that was needed (1.0 = full demand feasible).
     pub shrink: f64,
 }
+
+/// Demand shrink factor β applied on infeasibility (§4; the artifact's
+/// value).
+const SHRINK_BETA: f64 = 1.05;
+
+/// Shrink-and-retry rounds before switching to the soft-demand fallback.
+const MAX_SHRINK_ROUNDS: u32 = 10;
 
 /// Tiny per-replica penalty: among accuracy-equal optima, prefer plans that
 /// host fewer replicas (fewer model swaps, more idle headroom).
@@ -184,7 +183,7 @@ enum DemandMode {
 ///
 /// Follows §4: the strict formulation (all demand served, Eq. 6) is tried
 /// first; on infeasibility the demand is shrunk by β and re-solved. If the
-/// problem is still infeasible after `max_shrink_rounds` — e.g. the cluster
+/// problem is still infeasible after 10 shrink rounds — e.g. the cluster
 /// has fewer devices than families with demand, which no amount of uniform
 /// shrinking fixes — a soft-demand formulation takes over: it maximizes
 /// served throughput lexicographically before accuracy, finding the exact
@@ -220,7 +219,7 @@ pub fn solve_allocation(
     let mut total = SolveStats::default();
     if families_needed <= ctx.up_len() {
         let mut shrink = 1.0;
-        for _round in 0..=config.max_shrink_rounds {
+        for _round in 0..=MAX_SHRINK_ROUNDS {
             let target = demand.scaled(1.0 / shrink);
             let (attempt, stats) = solve_once(ctx, &target, current, config, DemandMode::Strict);
             total += stats;
@@ -234,7 +233,7 @@ pub fn solve_allocation(
                         shrink,
                     });
                 }
-                Err(SolveError::Infeasible) => shrink *= config.shrink_beta,
+                Err(SolveError::Infeasible) => shrink *= SHRINK_BETA,
                 // Node budget exhausted without an incumbent: shrinking
                 // will not help; hand over to the soft formulation.
                 Err(SolveError::NodeLimit) => break,
@@ -798,6 +797,7 @@ fn solve_per_device(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::audit::audit_plan;
     use proteus_profiler::{Cluster, ModelZoo, ProfileStore, SloPolicy};
 
     struct Env {
@@ -848,7 +848,7 @@ mod tests {
         let demand = demand_single(ModelFamily::EfficientNet, 10.0);
         let out = solve_allocation(&env.ctx(), &demand, None, &MilpConfig::default()).unwrap();
         assert_eq!(out.shrink, 1.0);
-        assert_eq!(out.plan.validate(&env.ctx()), None);
+        assert!(audit_plan(&env.ctx(), &demand, &out.plan).is_clean());
         // 10 QPS of EfficientNet fits the most accurate variant on a V100.
         let planned = out.plan.planned_accuracy(&env.ctx());
         assert!(
@@ -897,7 +897,7 @@ mod tests {
         let demand = demand_single(ModelFamily::EfficientNet, 1e5);
         let out = solve_allocation(&env.ctx(), &demand, None, &MilpConfig::default()).unwrap();
         assert!(out.shrink > 1.0, "shrink must kick in");
-        assert_eq!(out.plan.validate(&env.ctx()), None);
+        assert!(audit_plan(&env.ctx(), &demand, &out.plan).is_clean());
     }
 
     #[test]
@@ -974,7 +974,7 @@ mod tests {
         );
         assert!((ae - pe).abs() < 0.02, "EfficientNet: {ae} vs {pe}");
         assert!((ar - pr).abs() < 0.02, "ResNet: {ar} vs {pr}");
-        assert_eq!(per.plan.validate(&env.ctx()), None);
+        assert!(audit_plan(&env.ctx(), &demand, &per.plan).is_clean());
     }
 
     #[test]
@@ -1075,7 +1075,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(free.plan.validate(&env.ctx()), None);
+        assert!(audit_plan(&env.ctx(), &perturbed, &free.plan).is_clean());
     }
 
     #[test]
@@ -1252,7 +1252,7 @@ mod tests {
         let demand = FamilyMap::from_fn(|_| 60.0);
         let start = std::time::Instant::now();
         let out = solve_allocation(&env.ctx(), &demand, None, &MilpConfig::default()).unwrap();
-        assert_eq!(out.plan.validate(&env.ctx()), None);
+        assert!(audit_plan(&env.ctx(), &demand, &out.plan).is_clean());
         assert!(
             start.elapsed().as_secs_f64() < 30.0,
             "aggregated MILP should solve the testbed quickly"

@@ -11,8 +11,6 @@
 pub mod audit;
 pub mod milp;
 
-use std::collections::BTreeSet;
-
 use proteus_profiler::{
     Cluster, DeviceId, DeviceType, ModelFamily, ModelZoo, ProfileStore, VariantId,
 };
@@ -184,70 +182,11 @@ impl AllocationPlan {
         }
         FamilyMap::from_fn(|f| if cap[f] > 0.0 { acc[f] / cap[f] } else { 0.0 })
     }
-
-    /// Checks structural invariants of the plan against the environment:
-    /// every routed device hosts a feasible variant of the right family, and
-    /// every assignment is memory/SLO-feasible on its device type. Returns a
-    /// human-readable violation description, or `None` if valid.
-    pub fn validate(&self, ctx: &AllocContext<'_>) -> Option<String> {
-        if self.assignments.len() != ctx.cluster.len() {
-            return Some(format!(
-                "plan covers {} devices but cluster has {}",
-                self.assignments.len(),
-                ctx.cluster.len()
-            ));
-        }
-        for (device, variant) in self.assignments() {
-            let Some(spec) = ctx.cluster.device(device) else {
-                return Some(format!("assignment references unknown device {device}"));
-            };
-            match ctx.store.profile(variant, spec.device_type) {
-                Some(p) if p.is_feasible() => {}
-                _ => {
-                    return Some(format!(
-                        "{variant} is infeasible on {device} ({})",
-                        spec.device_type
-                    ))
-                }
-            }
-        }
-        for family in ModelFamily::ALL {
-            let mut seen = BTreeSet::new();
-            for &(device, weight) in self.routing(family) {
-                if weight < 0.0 || !weight.is_finite() {
-                    return Some(format!("negative routing weight for {family}"));
-                }
-                if !seen.insert(device) {
-                    return Some(format!("duplicate routing entry for {family} on {device}"));
-                }
-                match self.assignment(device) {
-                    Some(v) if v.family == family => {}
-                    Some(v) => {
-                        return Some(format!(
-                            "routing sends {family} to {device}, which hosts {v}"
-                        ))
-                    }
-                    None => {
-                        return Some(format!("routing sends {family} to empty device {device}"))
-                    }
-                }
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proteus_profiler::SloPolicy;
-
-    fn env() -> (Cluster, ModelZoo, ProfileStore) {
-        let cluster = Cluster::with_counts(2, 1, 1);
-        let zoo = ModelZoo::paper_table3();
-        let store = ProfileStore::build(&zoo, SloPolicy::default());
-        (cluster, zoo, store)
-    }
 
     fn vid(family: ModelFamily, index: u8) -> VariantId {
         VariantId { family, index }
@@ -266,79 +205,6 @@ mod tests {
         assert_eq!(plan.assignments().count(), 1);
         plan.assign(DeviceId(1), None);
         assert_eq!(plan.assignments().count(), 0);
-    }
-
-    #[test]
-    fn validate_accepts_consistent_plan() {
-        let (cluster, zoo, store) = env();
-        let ctx = AllocContext {
-            cluster: &cluster,
-            zoo: &zoo,
-            store: &store,
-            down: &[],
-        };
-        let mut plan = AllocationPlan::empty(4);
-        // Device 3 is the V100; host EfficientNet-b4 there.
-        plan.assign(DeviceId(3), Some(vid(ModelFamily::EfficientNet, 4)));
-        plan.set_routing(ModelFamily::EfficientNet, vec![(DeviceId(3), 1.0)]);
-        assert_eq!(plan.validate(&ctx), None);
-    }
-
-    #[test]
-    fn validate_rejects_family_mismatch() {
-        let (cluster, zoo, store) = env();
-        let ctx = AllocContext {
-            cluster: &cluster,
-            zoo: &zoo,
-            store: &store,
-            down: &[],
-        };
-        let mut plan = AllocationPlan::empty(4);
-        plan.assign(DeviceId(3), Some(vid(ModelFamily::EfficientNet, 0)));
-        plan.set_routing(ModelFamily::ResNet, vec![(DeviceId(3), 1.0)]);
-        assert!(plan.validate(&ctx).unwrap().contains("hosts"));
-    }
-
-    #[test]
-    fn validate_rejects_routing_to_empty_device() {
-        let (cluster, zoo, store) = env();
-        let ctx = AllocContext {
-            cluster: &cluster,
-            zoo: &zoo,
-            store: &store,
-            down: &[],
-        };
-        let mut plan = AllocationPlan::empty(4);
-        plan.set_routing(ModelFamily::ResNet, vec![(DeviceId(0), 1.0)]);
-        assert!(plan.validate(&ctx).unwrap().contains("empty device"));
-    }
-
-    #[test]
-    fn validate_rejects_infeasible_assignment() {
-        let (cluster, zoo, store) = env();
-        let ctx = AllocContext {
-            cluster: &cluster,
-            zoo: &zoo,
-            store: &store,
-            down: &[],
-        };
-        let mut plan = AllocationPlan::empty(4);
-        // GPT2-xl does not fit the 1080 Ti (device 2).
-        plan.assign(DeviceId(2), Some(vid(ModelFamily::Gpt2, 3)));
-        assert!(plan.validate(&ctx).unwrap().contains("infeasible"));
-    }
-
-    #[test]
-    fn validate_rejects_wrong_cluster_size() {
-        let (cluster, zoo, store) = env();
-        let ctx = AllocContext {
-            cluster: &cluster,
-            zoo: &zoo,
-            store: &store,
-            down: &[],
-        };
-        let plan = AllocationPlan::empty(2);
-        assert!(plan.validate(&ctx).unwrap().contains("cluster"));
     }
 
     #[test]

@@ -562,6 +562,7 @@ impl Allocator for InfaasAccuracyAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::audit::{audit_plan, PlanViolation};
     use proteus_profiler::{Cluster, ModelZoo, ProfileStore, SloPolicy};
 
     struct Env {
@@ -596,6 +597,20 @@ mod tests {
         d
     }
 
+    /// Asserts that `plan` passes the plan auditor for `demand`, coverage
+    /// aside: the baselines keep no standby host for families without
+    /// demand, which the auditor's coverage floor expects.
+    fn assert_clean(env: &Env, demand: &FamilyMap<f64>, plan: &AllocationPlan) {
+        let report = audit_plan(&env.ctx(), demand, plan);
+        assert!(
+            report
+                .violations
+                .iter()
+                .all(|v| matches!(v, PlanViolation::CoverageShortfall { .. })),
+            "{report}"
+        );
+    }
+
     #[test]
     fn clipper_ht_hosts_least_accurate() {
         let env = Env::new(1, 1, 2);
@@ -607,7 +622,7 @@ mod tests {
             None,
             SimTime::ZERO,
         );
-        assert_eq!(plan.validate(&env.ctx()), None);
+        assert_clean(&env, &demand(ModelFamily::EfficientNet, 100.0), &plan);
         for (_, v) in plan.assignments() {
             assert_eq!(v.index, 0, "HT must host index-0 variants, got {v}");
         }
@@ -623,7 +638,7 @@ mod tests {
             None,
             SimTime::ZERO,
         );
-        assert_eq!(plan.validate(&env.ctx()), None);
+        assert_clean(&env, &demand(ModelFamily::EfficientNet, 20.0), &plan);
         for (_, v) in plan.assignments() {
             let best = env.zoo.most_accurate(v.family).unwrap().id();
             assert_eq!(v, best, "HA must host most accurate variants");
@@ -659,7 +674,7 @@ mod tests {
                 assert_eq!(a, b, "sommelier must not move families across devices");
             }
         }
-        assert_eq!(high.validate(&env.ctx()), None);
+        assert_clean(&env, &demand(ModelFamily::EfficientNet, 900.0), &high);
         // And the high-demand plan must have scaled accuracy down.
         let acc_low = low.planned_accuracy(&env.ctx())[ModelFamily::EfficientNet];
         let acc_high = high.planned_accuracy(&env.ctx())[ModelFamily::EfficientNet];
@@ -677,7 +692,7 @@ mod tests {
             None,
             SimTime::ZERO,
         );
-        assert_eq!(low.validate(&env.ctx()), None);
+        assert_clean(&env, &demand(ModelFamily::EfficientNet, 20.0), &low);
         assert!(low.capacity(ModelFamily::EfficientNet) >= 20.0);
         let high = inf.allocate(
             &env.ctx(),
@@ -685,7 +700,7 @@ mod tests {
             Some(&low),
             SimTime::from_secs(1),
         );
-        assert_eq!(high.validate(&env.ctx()), None);
+        assert_clean(&env, &demand(ModelFamily::EfficientNet, 900.0), &high);
         assert!(high.capacity(ModelFamily::EfficientNet) > low.capacity(ModelFamily::EfficientNet));
         let acc_low = low.planned_accuracy(&env.ctx())[ModelFamily::EfficientNet];
         let acc_high = high.planned_accuracy(&env.ctx())[ModelFamily::EfficientNet];

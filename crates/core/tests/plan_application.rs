@@ -2,6 +2,7 @@
 //! re-routing of displaced queries, model-load windows and empty routings
 //! are exercised deterministically.
 
+use proteus_core::allocation::audit::{audit_plan, PlanViolation};
 use proteus_core::batching::ProteusBatching;
 use proteus_core::schedulers::{AllocContext, Allocator};
 use proteus_core::system::{ServingSystem, SystemConfig};
@@ -245,7 +246,9 @@ fn busy_worker_swap_charges_the_new_variants_load_delay() {
 
 #[test]
 fn scripted_plans_validate_against_environment() {
-    // Sanity: the hand-written plans satisfy the structural validator.
+    // Sanity: the hand-written plans pass the plan auditor's structural
+    // checks. They claim a round 1000 QPS for one family and no standby
+    // hosts, so capacity bookkeeping and coverage are out of scope.
     let cfg = config();
     let zoo = ModelZoo::paper_table3();
     let store = proteus_profiler::ProfileStore::build(&zoo, SloPolicy::default());
@@ -255,7 +258,18 @@ fn scripted_plans_validate_against_environment() {
         store: &store,
         down: &[],
     };
-    assert_eq!(plan_efficientnet(0).validate(&ctx), None);
-    assert_eq!(plan_efficientnet(7).validate(&ctx), None);
-    assert_eq!(plan_resnet_only().validate(&ctx), None);
+    for plan in [
+        plan_efficientnet(0),
+        plan_efficientnet(7),
+        plan_resnet_only(),
+    ] {
+        let report = audit_plan(&ctx, &FamilyMap::default(), &plan);
+        assert!(
+            report.violations.iter().all(|v| matches!(
+                v,
+                PlanViolation::CapacityMisreported { .. } | PlanViolation::CoverageShortfall { .. }
+            )),
+            "{report}"
+        );
+    }
 }

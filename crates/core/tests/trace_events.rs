@@ -601,7 +601,9 @@ fn fnv1a(text: &str) -> u64 {
 /// `collapse_flame`, the `blame` verdict list, every `span_trees` tree
 /// (segments and edges), and `diff_traces` of the seed against the next
 /// one (seed 19 against seed 0). Recorded with the analysis code that
-/// predates the typed JSONL reader and the per-query index.
+/// predates the typed JSONL reader and the per-query index; the blame
+/// column was re-pinned when a discarded solve's window came to end where
+/// its replacement starts, which lowers `stale_plan` on 17 seeds.
 const CHAOS_DIGESTS: [[u64; 4]; 20] = [
     [
         0xcdbc15cb4575dd3f,
@@ -611,43 +613,43 @@ const CHAOS_DIGESTS: [[u64; 4]; 20] = [
     ],
     [
         0x584bd106ce97c306,
-        0x9bd1bd9b5efb6e48,
+        0x39d1d83f7f4ebd34,
         0xbb26c55827044aff,
         0xb3c87b4b6f95cb76,
     ],
     [
         0xf8f686fa42a632d7,
-        0x12e998f06494b311,
+        0x86d651040a1186ef,
         0xb57b7cbbc23f93ef,
         0x25aa1db7fd725d24,
     ],
     [
         0x638daa6ade1ca876,
-        0xf8178eedc41023eb,
+        0x0069dec4eb2f5a7d,
         0x5f0d5a5ace4343da,
         0x3427014b3ce78b5b,
     ],
     [
         0xa3bf383d3f6437dd,
-        0xb8c4145c7d942470,
+        0xf6dd1e59042dbc9e,
         0xe7325fb72d044b76,
         0x70d669dedac2e5c0,
     ],
     [
         0x2b13d362c279f9c2,
-        0x13b9db32d18959cc,
+        0xd3199634ca8262af,
         0x77d28986ef8a5211,
         0x50d463fbb3a7df19,
     ],
     [
         0x8032ee18c7474f51,
-        0xa6168e20f14e8635,
+        0x0566a2b343c29cb5,
         0x8d5e29e7e494c7ea,
         0x947853e23d13f53a,
     ],
     [
         0x8f430e7e9fa94ed4,
-        0xec93841a7d3d7dda,
+        0x6f22c037a182487d,
         0x8ebbc9fba9979415,
         0x1cdb3c624f5f66ac,
     ],
@@ -665,61 +667,61 @@ const CHAOS_DIGESTS: [[u64; 4]; 20] = [
     ],
     [
         0x0946500f9e57b996,
-        0x16d233020199d906,
+        0xfa3c0fb5f3e0ad5d,
         0x0b1da9a0900efb39,
         0x26129da5b0df6b13,
     ],
     [
         0x99711664f69d1f49,
-        0xacf9e41c057c5235,
+        0x542fd8091a28a641,
         0x9266e9994007e644,
         0x4de86ac621cb9181,
     ],
     [
         0xec9312293c9d7a51,
-        0x1c822e2411c9dbfb,
+        0x9b7661fb83ab3361,
         0xc2e7824225ad9e2b,
         0x695e1f762a6e88be,
     ],
     [
         0x763d2e35bac381ec,
-        0x3bbedf86313f4281,
+        0xb94826bef0d220dd,
         0xeb8fa688a9e9d474,
         0x154f6ecb92783891,
     ],
     [
         0x2a3d33fbefbe2d46,
-        0xefd1ee6945eea3de,
+        0x2d8fe90bbdac8fb8,
         0xbd2e9db2522d0a1e,
         0xca9ac269d06947e0,
     ],
     [
         0x92e30438989d7fe1,
-        0xf4669917dc5d48f6,
+        0x25bd8ec0826d35b6,
         0x82114c07bdf8c34d,
         0xd54fd2ad1db50bd5,
     ],
     [
         0x1cf9fd54d8387e59,
-        0x528e35e2d84a896b,
+        0x80bf44abf6d8c52d,
         0xee21136c06f76706,
         0x9e177773aa2b0f40,
     ],
     [
         0x586f3472f1471245,
-        0x35ea7a51204884b8,
+        0xa53b2a1e0745f690,
         0xa7cbe794b819b102,
         0x3bf4654fed22db1e,
     ],
     [
         0x197f6fddfb5a4c22,
-        0x786c4a28b88189ec,
+        0x0cdb476992f19d47,
         0x07cdb5a1ef1f522f,
         0xea25cff59b7b54fb,
     ],
     [
         0x88e1866da0909338,
-        0x0c2df1656c8afeb3,
+        0x49473df2bab640c3,
         0xcbac121d472e9e96,
         0x4b78106165c0e34f,
     ],

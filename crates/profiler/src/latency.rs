@@ -28,19 +28,12 @@ use crate::{DeviceType, VariantSpec};
 /// let cpu = model.latency_ms(b0, DeviceType::Cpu, 1);
 /// assert!(cpu > 5.0 * v100);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyModel {
-    /// Extra slowdown multiplier applied to transformer families on CPUs.
-    pub cpu_transformer_penalty: f64,
-}
+#[derive(Debug, Clone, Default, PartialEq)]
+#[non_exhaustive]
+pub struct LatencyModel;
 
-impl Default for LatencyModel {
-    fn default() -> Self {
-        Self {
-            cpu_transformer_penalty: 2.0,
-        }
-    }
-}
+/// Extra slowdown multiplier applied to transformer families on CPUs.
+const CPU_TRANSFORMER_PENALTY: f64 = 2.0;
 
 impl LatencyModel {
     /// Inference latency of one batch, in milliseconds.
@@ -52,7 +45,7 @@ impl LatencyModel {
         assert!(batch > 0, "batch size must be at least 1");
         let mut base = variant.reference_latency_ms() * device.slowdown();
         if device == DeviceType::Cpu && variant.family().is_transformer() {
-            base *= self.cpu_transformer_penalty;
+            base *= CPU_TRANSFORMER_PENALTY;
         }
         device.kernel_overhead_ms() + base * (1.0 + (batch as f64 - 1.0) * device.batch_marginal())
     }
@@ -98,21 +91,28 @@ mod tests {
     #[test]
     fn transformers_pay_cpu_penalty() {
         let m = LatencyModel::default();
+        // Batch-1 latency past the kernel overhead, without any penalty.
+        let unpenalized = |v: &VariantSpec, d: DeviceType| v.reference_latency_ms() * d.slowdown();
+        let compute =
+            |v: &VariantSpec, d: DeviceType| m.latency_ms(v, d, 1) - d.kernel_overhead_ms();
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b;
         let bert = first(ModelFamily::Bert);
-        let with = m.latency_ms(&bert, DeviceType::Cpu, 1);
-        let without = LatencyModel {
-            cpu_transformer_penalty: 1.0,
-        }
-        .latency_ms(&bert, DeviceType::Cpu, 1);
-        assert!(with > 1.8 * without - DeviceType::Cpu.kernel_overhead_ms());
-        // GPU latency is unaffected by the CPU penalty.
-        assert_eq!(
-            m.latency_ms(&bert, DeviceType::V100, 1),
-            LatencyModel {
-                cpu_transformer_penalty: 1.0
-            }
-            .latency_ms(&bert, DeviceType::V100, 1)
-        );
+        assert!(bert.family().is_transformer());
+        assert!(close(
+            compute(&bert, DeviceType::Cpu),
+            CPU_TRANSFORMER_PENALTY * unpenalized(&bert, DeviceType::Cpu)
+        ));
+        // GPU latency is unaffected by the CPU penalty, and so are the
+        // other families on CPUs.
+        assert!(close(
+            compute(&bert, DeviceType::V100),
+            unpenalized(&bert, DeviceType::V100)
+        ));
+        let resnet = first(ModelFamily::ResNet);
+        assert!(close(
+            compute(&resnet, DeviceType::Cpu),
+            unpenalized(&resnet, DeviceType::Cpu)
+        ));
     }
 
     #[test]

@@ -178,52 +178,29 @@ impl Profile {
 pub struct ProfileStore {
     profiles: HashMap<(VariantId, DeviceType), Profile>,
     slos_ms: HashMap<ModelFamily, f64>,
-    latency_model: LatencyModel,
     policy: SloPolicy,
 }
 
 impl ProfileStore {
-    /// Profiles every variant of `zoo` on every device type with the default
-    /// latency model.
+    /// Profiles every variant of `zoo` on every device type with the
+    /// [`LatencyModel`].
     ///
     /// # Panics
     ///
     /// Panics if the zoo is malformed (see [`ProfileStore::try_build`],
     /// which reports the same condition as a [`ProfileError`]).
     pub fn build(zoo: &ModelZoo, policy: SloPolicy) -> Self {
-        Self::build_with_model(zoo, policy, LatencyModel::default())
-    }
-
-    /// Profiles with an explicit latency model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the zoo is malformed (see
-    /// [`ProfileStore::try_build_with_model`]).
-    pub fn build_with_model(
-        zoo: &ModelZoo,
-        policy: SloPolicy,
-        latency_model: LatencyModel,
-    ) -> Self {
-        match Self::try_build_with_model(zoo, policy, latency_model) {
+        match Self::try_build(zoo, policy) {
             Ok(store) => store,
             Err(e) => panic!("cannot build profile store: {e}"),
         }
     }
 
-    /// Fallible counterpart of [`ProfileStore::build`].
-    pub fn try_build(zoo: &ModelZoo, policy: SloPolicy) -> Result<Self, ProfileError> {
-        Self::try_build_with_model(zoo, policy, LatencyModel::default())
-    }
-
-    /// Fallible counterpart of [`ProfileStore::build_with_model`]: returns
+    /// Fallible counterpart of [`ProfileStore::build`]: returns
     /// [`ProfileError::NoCpuFeasibleVariant`] instead of panicking when a
     /// family's SLO cannot be anchored.
-    pub fn try_build_with_model(
-        zoo: &ModelZoo,
-        policy: SloPolicy,
-        latency_model: LatencyModel,
-    ) -> Result<Self, ProfileError> {
+    pub fn try_build(zoo: &ModelZoo, policy: SloPolicy) -> Result<Self, ProfileError> {
+        let latency_model = LatencyModel;
         let mut slos_ms = HashMap::new();
         for family in zoo.families() {
             // SLO = multiplier × batch-1 CPU latency of the family's fastest
@@ -253,7 +230,6 @@ impl ProfileStore {
         Ok(Self {
             profiles,
             slos_ms,
-            latency_model,
             policy,
         })
     }
@@ -330,11 +306,6 @@ impl ProfileStore {
     /// The SLO policy the store was built with.
     pub fn policy(&self) -> SloPolicy {
         self.policy
-    }
-
-    /// The latency model the store was built with.
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency_model
     }
 
     /// Iterates over all profiles.

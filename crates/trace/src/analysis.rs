@@ -10,7 +10,7 @@ use proteus_profiler::DeviceId;
 use proteus_sim::SimTime;
 
 use crate::event::{DropReason, EventKind, TraceEvent};
-use crate::span::{harvest, window, Outcome, Timelines};
+use crate::span::{build_tree, harvest, window, Lane, Outcome, Scratch, Segment, SpanTree};
 
 /// Returns every event relevant to one query, in stream order: the events
 /// directly about it (`Arrived`, `Routed`, `Enqueued`, terminals) plus the
@@ -180,21 +180,22 @@ impl BlameReport {
 /// crashed device (`device_failed`) are blamed on the failure itself; the
 /// remaining shed drops (`queue_full`, `no_host`, `drained`) are blamed on
 /// admission directly.
-/// For the rest, the query's *wait window* — from its (last) `Enqueued` to
-/// the start of the batch that served it (late responses) or to the drop
-/// instant (expiries) — is decomposed against the worker's recorded
-/// timeline:
+/// For the rest, the verdict is read off the query's span tree (see
+/// [`crate::span`]), whose sweep partitions the query's *wait window* —
+/// from its final placement to the start of the batch that served it (late
+/// responses) or to the drop instant (expiries) — against the worker's
+/// recorded timeline:
 ///
-/// * overlap with `ModelLoadStarted..until` intervals → **model-load stall**;
-/// * overlap with *other* batches' `ExecStarted..until` intervals →
-///   **queueing delay**;
-/// * the remainder → **batch-wait** (the worker was idle but the batching
-///   policy held the query back).
+/// * `load` spans → **model-load stall**;
+/// * `queue` spans (other batches executing) → **queueing delay**;
+/// * `batch_wait` and `stale_plan` spans together → **batch-wait** (the
+///   worker was idle but the batching policy held the query back).
 ///
 /// Independently of cause selection, each decomposed verdict also records
 /// how much of its wait window overlapped a control-plane solve window
-/// (`SolveStarted..until`) as [`BlameVerdict::stale_plan`] — time spent
-/// waiting while the system was still serving under a stale plan.
+/// (`SolveStarted..until`, ended early when the next solve starts) as
+/// [`BlameVerdict::stale_plan`] — time spent waiting while the system was
+/// still serving under a stale plan.
 ///
 /// The largest component wins; ties break queueing → model-load →
 /// batch-wait. A zero-length window means waiting was not the problem:
@@ -203,108 +204,99 @@ impl BlameReport {
 /// exactly one category by construction.
 pub fn blame(events: &[TraceEvent]) -> BlameReport {
     let t = harvest(events);
-    let verdicts = t
-        .terminals
-        .iter()
-        .filter_map(|&i| {
-            let e = &events[i];
-            let (query, outcome) = match e.kind {
-                EventKind::ServedLate { query, .. } => (query, Outcome::Late),
-                EventKind::Dropped { query, reason } => (query, Outcome::Dropped(reason)),
-                _ => return None,
-            };
-            Some(verdict(&t, query, e.at, outcome))
-        })
-        .collect();
+    let mut scratch = Scratch::default();
+    let mut verdicts = Vec::new();
+    for &i in &t.terminals {
+        let e = &events[i];
+        if !matches!(
+            e.kind,
+            EventKind::ServedLate { .. } | EventKind::Dropped { .. }
+        ) {
+            continue;
+        }
+        if let Some(tree) = build_tree(&t, e, &mut scratch) {
+            verdicts.push(BlameVerdict::of(&tree, &t.solves));
+            scratch.recycle(tree);
+        }
+    }
     BlameReport { verdicts }
 }
 
-/// Blames the violation `query` ended in at `at`: a late response or a
-/// drop (`outcome` is never `OnTime`). Each overlap sum runs over the
-/// lane's windowed slice only: intervals outside it overlap the wait
-/// window by zero.
-pub(crate) fn verdict(t: &Timelines, query: u64, at: SimTime, outcome: Outcome) -> BlameVerdict {
-    let overlap = |a0: SimTime, a1: SimTime, b0: SimTime, b1: SimTime| -> u64 {
-        let lo = a0.max(b0).as_nanos();
-        let hi = a1.min(b1).as_nanos();
-        hi.saturating_sub(lo)
-    };
-    let undecomposed = |cause| BlameVerdict {
-        query,
-        at,
-        cause,
-        queueing: SimTime::ZERO,
-        model_load: SimTime::ZERO,
-        batch_wait: SimTime::ZERO,
-        stale_plan: SimTime::ZERO,
-    };
-    let record = t.query(query);
-    let own_batch = record.serving;
-    let (window_end, expired) = match outcome {
-        Outcome::Dropped(DropReason::DeviceFailed) => {
-            return undecomposed(BlameCause::DeviceFailure)
+impl BlameVerdict {
+    /// Blames the violation `tree` ends in. `solves` is the harvest's solve
+    /// lane, for the stale-plan overlay.
+    fn of(tree: &SpanTree, solves: &Lane<()>) -> Self {
+        let totals = tree.totals();
+        let (cause, [queueing, model_load, batch_wait]) =
+            classify(tree.outcome, tree.device.is_some(), &totals);
+        // The wait window follows the retry span and holds the wait
+        // segments; the solve lane's windows never overlap each other, so
+        // a plain sum is the true overlap.
+        let s = tree.start + SimTime::from_nanos(totals[Segment::Retry as usize]);
+        let e = s + SimTime::from_nanos(queueing + model_load + batch_wait);
+        let stale_plan: u64 = window(Some(solves), s, e)
+            .iter()
+            .map(|&(a, b, ())| b.min(e).saturating_sub(a.max(s)).as_nanos())
+            .sum();
+        BlameVerdict {
+            query: tree.query,
+            at: tree.end,
+            cause,
+            queueing: SimTime::from_nanos(queueing),
+            model_load: SimTime::from_nanos(model_load),
+            batch_wait: SimTime::from_nanos(batch_wait),
+            stale_plan: SimTime::from_nanos(stale_plan),
         }
-        Outcome::Dropped(reason) if reason.is_shed() => return undecomposed(BlameCause::Shed),
-        Outcome::Dropped(_) => (Some(at), true),
-        Outcome::Late | Outcome::OnTime => (own_batch.and_then(|slot| t.batch_start(slot)), false),
+    }
+}
+
+/// The cause of a violation ending in `outcome`, and its wait components
+/// `[queueing, model_load, batch_wait]` in nanoseconds, from its span
+/// tree's per-segment `totals`. `placed` is whether the query was ever
+/// enqueued: an unplaced query has no wait window. Sheds and device
+/// failures are not decomposed.
+pub(crate) fn classify(
+    outcome: Outcome,
+    placed: bool,
+    totals: &[u64; Segment::ALL.len()],
+) -> (BlameCause, [u64; 3]) {
+    let expired = match outcome {
+        Outcome::Dropped(DropReason::DeviceFailed) => return (BlameCause::DeviceFailure, [0; 3]),
+        Outcome::Dropped(reason) if reason.is_shed() => return (BlameCause::Shed, [0; 3]),
+        Outcome::Dropped(_) => true,
+        Outcome::Late | Outcome::OnTime => false,
     };
-
-    let (start, device) = match record.placement {
-        Some((enq_at, d, _)) => (enq_at, d.0),
-        // Never enqueued (shouldn't happen for non-shed terminals):
-        // treat as a zero-length window.
-        None => (at, u32::MAX),
+    let wait = if placed {
+        let total = |segment: Segment| totals[segment as usize];
+        [
+            total(Segment::Queue),
+            total(Segment::Load),
+            total(Segment::BatchWait) + total(Segment::StalePlan),
+        ]
+    } else {
+        [0; 3]
     };
-    let end = window_end.unwrap_or(start);
-    let lanes = t.devices.get(&device);
-
-    let load_ns: u64 = window(lanes.map(|l| &l.loads), start, end)
-        .iter()
-        .map(|&(a, b, _)| overlap(start, end, a, b))
-        .sum();
-    let busy_ns: u64 = window(lanes.map(|l| &l.execs), start, end)
-        .iter()
-        .filter(|&&(_, _, slot)| own_batch != Some(slot))
-        .map(|&(a, b, _)| overlap(start, end, a, b))
-        .sum();
-    let window_ns = end.saturating_sub(start).as_nanos();
-    let wait_ns = window_ns.saturating_sub(load_ns + busy_ns);
-    // Solve windows never overlap each other (at most one solve is in
-    // flight), so a plain sum is the true overlap.
-    let stale_ns: u64 = window(Some(&t.solves), start, end)
-        .iter()
-        .map(|&(a, b, ())| overlap(start, end, a, b))
-        .sum();
-
-    let cause = if window_ns == 0 {
+    let [busy, load, idle] = wait;
+    let cause = if busy + load + idle == 0 {
         if expired {
             BlameCause::Queueing
         } else {
             BlameCause::BatchWait
         }
-    } else if busy_ns >= load_ns && busy_ns >= wait_ns {
+    } else if busy >= load && busy >= idle {
         BlameCause::Queueing
-    } else if load_ns >= wait_ns {
+    } else if load >= idle {
         BlameCause::ModelLoad
     } else {
         BlameCause::BatchWait
     };
-
-    BlameVerdict {
-        query,
-        at,
-        cause,
-        queueing: SimTime::from_nanos(busy_ns),
-        model_load: SimTime::from_nanos(load_ns),
-        batch_wait: SimTime::from_nanos(wait_ns),
-        stale_plan: SimTime::from_nanos(stale_ns),
-    }
+    (cause, wait)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ReplanCause;
+    use crate::event::{DiscardReason, ReplanCause};
     use proteus_profiler::{ModelFamily, VariantId};
 
     fn t(ms: u64) -> SimTime {
@@ -684,6 +676,50 @@ mod tests {
         let clean = blame(&busy_device_trace());
         assert_eq!(clean.stale_affected(), 0);
         assert_eq!(clean.verdicts[0].stale_plan, SimTime::ZERO);
+    }
+
+    #[test]
+    fn discarded_solve_and_its_replacement_count_once() {
+        // A solve opens at 10 planned until 80 and is superseded at 30 by
+        // one until 90. q2 waits 0–100: it overlaps the union of the two
+        // windows, 10–90, not the 70 + 60 ms they planned.
+        let mut events = busy_device_trace();
+        let solve = |ms, until| {
+            ev(
+                ms,
+                EventKind::SolveStarted {
+                    cause: ReplanCause::Periodic,
+                    until: t(until),
+                },
+            )
+        };
+        events.splice(
+            6..6,
+            [
+                solve(10, 80),
+                solve(30, 90),
+                ev(
+                    30,
+                    EventKind::PlanDiscarded {
+                        cause: ReplanCause::Periodic,
+                        reason: DiscardReason::Superseded,
+                    },
+                ),
+                ev(
+                    90,
+                    EventKind::SolveComplete {
+                        cause: ReplanCause::Periodic,
+                    },
+                ),
+            ],
+        );
+        events.sort_by_key(|e| e.at);
+        let report = blame(&events);
+        assert_eq!(report.total(), 1);
+        let v = &report.verdicts[0];
+        assert_eq!(v.query, 2);
+        assert_eq!(v.cause, BlameCause::Queueing);
+        assert_eq!(v.stale_plan, t(80));
     }
 
     #[test]

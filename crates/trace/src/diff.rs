@@ -13,9 +13,9 @@ use std::collections::BTreeMap;
 
 use proteus_sim::SimTime;
 
-use crate::analysis::{verdict, BlameCause};
+use crate::analysis::{classify, BlameCause};
 use crate::event::TraceEvent;
-use crate::span::{harvest, map_trees, Outcome, Segment, SpanTree, Timelines};
+use crate::span::{harvest, map_trees, Outcome, Segment, SpanTree};
 
 /// Per-segment latency movement across the aligned queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,8 +101,9 @@ impl DiffReport {
 /// What the diff reads of one terminal's span tree.
 struct Summary {
     query: u64,
-    end: SimTime,
     outcome: Outcome,
+    /// Whether the query was ever enqueued.
+    placed: bool,
     /// End-to-end latency, nanoseconds.
     observed: u64,
     /// Nanoseconds per segment, in [`Segment::ALL`] order.
@@ -111,17 +112,18 @@ struct Summary {
 
 impl Summary {
     fn of(tree: &SpanTree) -> Self {
-        let mut segments = [0; Segment::ALL.len()];
-        for s in &tree.spans {
-            segments[s.segment as usize] += s.dur().as_nanos();
-        }
         Self {
             query: tree.query,
-            end: tree.end,
             outcome: tree.outcome,
+            placed: tree.device.is_some(),
             observed: tree.observed().as_nanos(),
-            segments,
+            segments: tree.totals(),
         }
+    }
+
+    /// The blame cause of a violating terminal.
+    fn cause(&self) -> BlameCause {
+        classify(self.outcome, self.placed, &self.segments).0
     }
 }
 
@@ -129,15 +131,12 @@ impl Summary {
 /// `(query, position)` for the last terminal of each query id, sorted by
 /// query id.
 struct RunIndex {
-    timelines: Timelines,
     summaries: Vec<Summary>,
     last: Vec<(u64, usize)>,
 }
 
 fn index(events: &[TraceEvent]) -> RunIndex {
-    // One harvest feeds both the span trees and the blame verdicts.
-    let timelines = harvest(events);
-    let summaries = map_trees(&timelines, events, Summary::of);
+    let summaries = map_trees(&harvest(events), events, Summary::of);
     let mut last: Vec<(u64, usize)> = summaries.iter().map(|s| s.query).zip(0..).collect();
     last.sort_unstable();
     // Of equal ids keep the last position: the last terminal wins.
@@ -148,18 +147,7 @@ fn index(events: &[TraceEvent]) -> RunIndex {
         }
         same
     });
-    RunIndex {
-        timelines,
-        summaries,
-        last,
-    }
-}
-
-impl RunIndex {
-    /// The blame cause of a violating terminal.
-    fn cause(&self, s: &Summary) -> BlameCause {
-        verdict(&self.timelines, s.query, s.end, s.outcome).cause
-    }
+    RunIndex { summaries, last }
 }
 
 /// Aligns two traces by query ID and computes the [`DiffReport`].
@@ -206,7 +194,7 @@ pub fn diff_traces(a: &[TraceEvent], b: &[TraceEvent]) -> DiffReport {
             (false, true) => new_violations.push(qa),
             (true, false) => vanished_violations.push(qa),
             (true, true) => {
-                let (ca, cb) = (ia.cause(ta), ib.cause(tb));
+                let (ca, cb) = (ta.cause(), tb.cause());
                 if ca != cb {
                     migration_counts
                         .entry((ca.label(), cb.label()))

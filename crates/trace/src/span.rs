@@ -165,7 +165,8 @@ impl Span {
 pub struct SpanTree {
     /// The query.
     pub query: u64,
-    /// Arrival instant (timeline start).
+    /// Timeline start: the arrival instant, or the final placement when
+    /// the trace shows no arrival.
     pub start: SimTime,
     /// Terminal instant (timeline end).
     pub end: SimTime,
@@ -187,6 +188,15 @@ impl SpanTree {
     /// End-to-end observed latency (terminal − arrival).
     pub fn observed(&self) -> SimTime {
         self.end.saturating_sub(self.start)
+    }
+
+    /// Nanoseconds per segment class, in [`Segment::ALL`] order.
+    pub(crate) fn totals(&self) -> [u64; Segment::ALL.len()] {
+        let mut totals = [0; Segment::ALL.len()];
+        for s in &self.spans {
+            totals[s.segment as usize] += s.dur().as_nanos();
+        }
+        totals
     }
 
     /// Total time attributed to one segment class.
@@ -227,22 +237,19 @@ impl SpanTree {
 /// windows), indexed so that the intervals able to overlap a query's wait
 /// window form one contiguous slice.
 ///
-/// Intervals are sorted by start; `reach[i]` is the largest end among
-/// `intervals[..=i]`. Ends alone are not monotone — a batch salvaged from a
-/// crash can end after the next batch on the same device starts — but
-/// `reach` is, so both edges of a window are searches over sorted values.
+/// A lane runs one thing at a time: a worker runs one batch or one load at
+/// a time, and at most one solve is in flight. So [`Lane::seal`] clips each
+/// interval to end no later than the next one starts, which makes the ends
+/// as sorted as the starts.
 pub(crate) struct Lane<T> {
-    /// `(start, until, payload)`, sorted by start.
+    /// `(start, until, payload)`, sorted by start and by end.
     intervals: Vec<(SimTime, SimTime, T)>,
-    /// Prefix maximum of the ends.
-    reach: Vec<SimTime>,
 }
 
 impl<T> Default for Lane<T> {
     fn default() -> Self {
         Self {
             intervals: Vec::new(),
-            reach: Vec::new(),
         }
     }
 }
@@ -252,26 +259,33 @@ impl<T> Lane<T> {
         self.intervals.push((start, until, payload));
     }
 
+    /// Ends the last interval pushed at `at` if it runs past it: what a
+    /// crash does to the batch or load in flight.
+    fn cut(&mut self, at: SimTime) {
+        if let Some(last) = self.intervals.last_mut() {
+            last.1 = last.1.min(at);
+        }
+    }
+
     /// Sorts by start (stable: a time-ordered trace is already sorted, so
-    /// this keeps trace order) and builds the prefix-max of the ends.
+    /// this keeps trace order) and clips each interval to end no later than
+    /// the next one starts, and no earlier than its own start. The trace
+    /// records planned ends: a solve discarded for a newer one keeps its
+    /// scheduled commit, but it stopped where the next one started.
     fn seal(&mut self) {
         self.intervals.sort_by_key(|&(start, _, _)| start);
-        let mut reach = SimTime::ZERO;
-        self.reach = self
-            .intervals
-            .iter()
-            .map(|&(_, until, _)| {
-                reach = reach.max(until);
-                reach
-            })
-            .collect();
+        let mut next = SimTime::MAX;
+        for (start, until, _) in self.intervals.iter_mut().rev() {
+            *until = (*until).min(next).max(*start);
+            next = *start;
+        }
     }
 }
 
 /// The intervals of `lane` that can overlap `[s, e)`, in lane order: from
-/// the first whose `reach` passes `s` up to the first that starts at or
-/// after `e`. Every interval left out has no overlap with `[s, e)`. A
-/// device with no lane has no intervals.
+/// the first that ends after `s` up to the first that starts at or after
+/// `e`. Every interval left out has no overlap with `[s, e)`. A device with
+/// no lane has no intervals.
 pub(crate) fn window<T>(
     lane: Option<&Lane<T>>,
     s: SimTime,
@@ -280,38 +294,30 @@ pub(crate) fn window<T>(
     let Some(lane) = lane else {
         return &[];
     };
+    let lo = lane.intervals.partition_point(|&(_, until, _)| until <= s);
     let hi = lane.intervals.partition_point(|&(start, _, _)| start < e);
-    // The window's first interval is usually a few before `hi`: search
-    // back from there in doubling steps, then bisect the last step.
-    let reach = &lane.reach[..hi];
-    let mut back = 1;
-    while back <= hi && reach[hi - back] > s {
-        back *= 2;
-    }
-    let from = hi.saturating_sub(back);
-    let lo = from + reach[from..].partition_point(|&r| r <= s);
-    &lane.intervals[lo..hi]
+    &lane.intervals[lo.min(hi)..hi]
 }
 
 /// One device's interval lanes.
 #[derive(Default)]
-pub(crate) struct DeviceLanes {
+struct DeviceLanes {
     /// Execution intervals, payload = batch slot (see [`Timelines::batch`]).
-    pub(crate) execs: Lane<u32>,
+    execs: Lane<u32>,
     /// Load intervals, payload = variant (`None` = unload).
-    pub(crate) loads: Lane<Option<VariantId>>,
+    loads: Lane<Option<VariantId>>,
 }
 
 /// What the trace says about one query.
 #[derive(Default)]
-pub(crate) struct QueryRecord {
+struct QueryRecord {
     /// Arrival `(at, family)`: the first `Arrived`.
     arrived: Option<(SimTime, ModelFamily)>,
     /// Final placement `(at, device, behind)`: the last `Enqueued`, the
     /// queue the query is actually served (or dies) in.
-    pub(crate) placement: Option<(SimTime, DeviceId, Option<u64>)>,
+    placement: Option<(SimTime, DeviceId, Option<u64>)>,
     /// Slot of the last batch it joined: the one that served it.
-    pub(crate) serving: Option<u32>,
+    serving: Option<u32>,
     /// What only crashes leave behind; most queries have none.
     salvage: Option<Box<Salvage>>,
 }
@@ -340,14 +346,13 @@ const UNSEEN: QueryRecord = QueryRecord {
 };
 
 /// Per-device interval timelines and per-query records harvested in one
-/// pass over the trace. Shared by the span layer and
-/// [`blame`](crate::analysis::blame).
+/// pass over the trace: what every span tree is built from.
 #[derive(Default)]
 pub(crate) struct Timelines {
     /// Device → its exec and load lanes.
-    pub(crate) devices: IdMap<u32, DeviceLanes>,
-    /// Open solve windows (never overlapping: at most one solve is in
-    /// flight).
+    devices: IdMap<u32, DeviceLanes>,
+    /// Open solve windows, clipped so that they never overlap: at most one
+    /// solve is in flight.
     pub(crate) solves: Lane<()>,
     /// Query id → slot in `queries`.
     ids: QueryIds,
@@ -496,7 +501,7 @@ impl Timelines {
     }
 
     /// The record of `query`; empty when the trace never mentioned it.
-    pub(crate) fn query(&self, query: u64) -> &QueryRecord {
+    fn query(&self, query: u64) -> &QueryRecord {
         self.ids
             .get(query)
             .map_or(&UNSEEN, |slot| &self.queries[slot as usize])
@@ -512,7 +517,7 @@ impl Timelines {
     }
 
     /// The exec start of the batch in `slot`, if it started.
-    pub(crate) fn batch_start(&self, slot: u32) -> Option<SimTime> {
+    fn batch_start(&self, slot: u32) -> Option<SimTime> {
         self.batch_starts[slot as usize]
     }
 }
@@ -575,6 +580,12 @@ pub(crate) fn harvest(events: &[TraceEvent]) -> Timelines {
             }
             EventKind::SolveStarted { until, .. } => {
                 t.solves.push(e.at, *until, ());
+            }
+            EventKind::WorkerCrashed { device } => {
+                if let Some(lanes) = t.devices.get_mut(&device.0) {
+                    lanes.execs.cut(e.at);
+                    lanes.loads.cut(e.at);
+                }
             }
             EventKind::QueryRetried {
                 query,
@@ -682,7 +693,7 @@ fn push_span(out: &mut Vec<Span>, segment: Segment, lo: u64, hi: u64) {
 /// Buffers one tree leaves behind for the next: the sweep's, and the span
 /// and edge lists of a tree handed back by [`Scratch::recycle`].
 #[derive(Default)]
-struct Scratch {
+pub(crate) struct Scratch {
     intervals: Vec<(SimTime, SimTime, Class)>,
     cuts: Vec<u64>,
     spans: Vec<Span>,
@@ -691,7 +702,7 @@ struct Scratch {
 
 impl Scratch {
     /// Keeps the lists of a tree that is no longer needed for the next.
-    fn recycle(&mut self, tree: SpanTree) {
+    pub(crate) fn recycle(&mut self, tree: SpanTree) {
         (self.spans, self.edges) = (tree.spans, tree.edges);
         self.spans.clear();
         self.edges.clear();
@@ -700,7 +711,11 @@ impl Scratch {
 
 /// Builds the span tree of one terminal event. `terminal` is the
 /// `Served*`/`Dropped` event; returns `None` for non-terminal kinds.
-fn build_tree(t: &Timelines, terminal: &TraceEvent, scratch: &mut Scratch) -> Option<SpanTree> {
+pub(crate) fn build_tree(
+    t: &Timelines,
+    terminal: &TraceEvent,
+    scratch: &mut Scratch,
+) -> Option<SpanTree> {
     let (query, outcome, epoch) = match &terminal.kind {
         EventKind::ServedOnTime { query, epoch, .. } => (*query, Outcome::OnTime, *epoch),
         EventKind::ServedLate { query, epoch, .. } => (*query, Outcome::Late, *epoch),
@@ -709,7 +724,12 @@ fn build_tree(t: &Timelines, terminal: &TraceEvent, scratch: &mut Scratch) -> Op
     };
     let end = terminal.at;
     let record = t.query(query);
-    let (start, family) = record.arrived.map_or((end, None), |(at, f)| (at, Some(f)));
+    // A query the trace shows no arrival for starts at its final placement.
+    let (start, family) = match (record.arrived, record.placement) {
+        (Some((at, family)), _) => (at, Some(family)),
+        (None, Some((at, _, _))) => (at.min(end), None),
+        (None, None) => (end, None),
+    };
     let device = record.placement.map(|(_, d, _)| d);
     let (rolled_back, retries) = record
         .salvage
@@ -1244,12 +1264,11 @@ mod tests {
     }
 
     #[test]
-    fn rolled_back_batch_on_the_final_device_counts_as_own_exec() {
+    fn batch_rolled_back_by_a_crash_ends_at_the_crash() {
         // q1 joins batch 1 on d0 (0–300 planned); d0 crashes at 50 and
         // recovers at 60; q1 is re-enqueued on d0 at 70 and served late by
-        // batch 2 (310–400). Batch 1's recorded interval still covers
-        // 70–300: the span layer charges it to q1's own execution, while
-        // blame counts it as another batch keeping the worker busy.
+        // batch 2 (310–400). Batch 1 ended at the crash, so d0 sat idle for
+        // all of q1's 70–310 wait, in the tree and in blame alike.
         let batch = |ms, batch, until| {
             [
                 ev(
@@ -1329,14 +1348,14 @@ mod tests {
         let tree = span_tree(&events, 1).unwrap();
         assert_eq!(tree.invariant_gap(), 0);
         assert_eq!(tree.segment_total(Segment::Retry), t(70));
-        assert_eq!(tree.segment_total(Segment::Exec), t(230 + 90));
-        assert_eq!(tree.segment_total(Segment::BatchWait), t(10));
+        assert_eq!(tree.segment_total(Segment::Exec), t(90));
+        assert_eq!(tree.segment_total(Segment::BatchWait), t(240));
         assert_eq!(tree.segment_total(Segment::Queue), SimTime::ZERO);
 
         let report = crate::analysis::blame(&events);
         let v = &report.verdicts[0];
-        assert_eq!(v.cause, crate::analysis::BlameCause::Queueing);
-        assert_eq!((v.queueing, v.batch_wait), (t(230), t(10)));
+        assert_eq!(v.cause, crate::analysis::BlameCause::BatchWait);
+        assert_eq!((v.queueing, v.batch_wait), (SimTime::ZERO, t(240)));
     }
 
     #[test]
@@ -1523,12 +1542,15 @@ mod tests {
             for _ in 0..rng.below(40) {
                 let start = rng.below(1_000);
                 // One interval in five is zero-length; the rest overlap
-                // freely, so ends are not monotone in start order.
+                // freely until the lane is sealed.
                 let len = if rng.below(5) == 0 { 0 } else { rng.below(300) };
                 let class = classes[rng.below(4) as usize];
                 lane.push(t(start), t(start + len), class);
             }
             lane.seal();
+            for w in lane.intervals.windows(2) {
+                assert!(w[0].1 <= w[1].0, "case {case}: sealed intervals overlap");
+            }
             for _ in 0..10 {
                 let s = rng.below(1_200);
                 let e = s + rng.below(400);
@@ -1549,11 +1571,11 @@ mod tests {
     }
 
     #[test]
-    fn salvaged_batch_ending_past_the_next_batch_still_counts() {
+    fn salvaged_batch_ends_at_the_crash() {
         // d0 starts batch 1 (q1) at 0 planned until 300 and crashes at 50;
         // q1 is salvaged to d1. After recovery d0 runs batch 2 (q2,
         // 120-180) and batch 3 (q3, 250-320). Batch 1's recorded end (300)
-        // passes batch 2's start, so d0's exec ends are not monotone.
+        // passes batch 2's start, but the worker stopped it at the crash.
         let arrive = |ms, query| {
             ev(
                 ms,
@@ -1655,14 +1677,16 @@ mod tests {
         events.extend(run(250, 0, 3, 3, 320));
         events.push(served(320, 3, true));
 
-        // q3 waits 190-250 with only batch 1's stale interval covering it:
-        // the index must still reach back to it.
+        // q3 waits 190-250 and q2 110-120 on an idle d0: batch 1's planned
+        // end does not keep it busy.
         let q3 = span_tree(&events, 3).unwrap();
         assert_eq!(q3.invariant_gap(), 0);
-        assert_eq!(q3.segment_total(Segment::Queue), t(60));
+        assert_eq!(q3.segment_total(Segment::BatchWait), t(60));
+        assert_eq!(q3.segment_total(Segment::Queue), SimTime::ZERO);
         assert_eq!(q3.segment_total(Segment::Exec), t(70));
         let q2 = span_tree(&events, 2).unwrap();
-        assert_eq!(q2.segment_total(Segment::Queue), t(10));
+        assert_eq!(q2.segment_total(Segment::BatchWait), t(10));
+        assert_eq!(q2.segment_total(Segment::Queue), SimTime::ZERO);
         assert_eq!(q2.segment_total(Segment::Exec), t(60));
         let q1 = span_tree(&events, 1).unwrap();
         assert_eq!(q1.segment_total(Segment::Retry), t(50));
@@ -1673,9 +1697,67 @@ mod tests {
         assert_eq!(report.total(), 1);
         let v = &report.verdicts[0];
         assert_eq!(v.query, 3);
-        assert_eq!(v.cause, crate::analysis::BlameCause::Queueing);
-        assert_eq!(v.queueing, t(60));
-        assert_eq!(v.batch_wait, SimTime::ZERO);
+        assert_eq!(v.cause, crate::analysis::BlameCause::BatchWait);
+        assert_eq!(v.queueing, SimTime::ZERO);
+        assert_eq!(v.batch_wait, t(60));
+    }
+
+    #[test]
+    fn a_query_with_no_arrival_starts_at_its_placement() {
+        // q1's arrival is not in the trace: its timeline runs from its
+        // enqueue at 200 (a load until 500, then its batch until 600).
+        let events = vec![
+            ev(
+                200,
+                EventKind::Enqueued {
+                    query: 1,
+                    device: DeviceId(0),
+                    depth: 1,
+                    behind: None,
+                },
+            ),
+            ev(
+                200,
+                EventKind::ModelLoadStarted {
+                    device: DeviceId(0),
+                    variant: Some(variant()),
+                    until: t(500),
+                },
+            ),
+            ev(
+                500,
+                EventKind::BatchFormed {
+                    device: DeviceId(0),
+                    batch: 1,
+                    queries: vec![1],
+                },
+            ),
+            ev(
+                500,
+                EventKind::ExecStarted {
+                    device: DeviceId(0),
+                    batch: 1,
+                    variant: variant(),
+                    size: 1,
+                    until: t(600),
+                },
+            ),
+            ev(
+                600,
+                EventKind::ServedLate {
+                    query: 1,
+                    latency: t(400),
+                    epoch: 1,
+                },
+            ),
+        ];
+        let tree = span_tree(&events, 1).unwrap();
+        assert_eq!((tree.start, tree.end), (t(200), t(600)));
+        assert_eq!(tree.family, None);
+        assert_eq!(tree.invariant_gap(), 0);
+        assert_eq!(tree.segment_total(Segment::Load), t(300));
+        assert_eq!(tree.segment_total(Segment::Exec), t(100));
+        assert_eq!(tree.segment_total(Segment::Retry), SimTime::ZERO);
     }
 
     #[test]

@@ -227,7 +227,12 @@ fn diurnal_run_on_paper_testbed_is_sane() {
         store: &store,
         down: &[],
     };
-    assert_eq!(outcome.final_plan.validate(&ctx), None);
+    let report = proteus::core::allocation::audit::audit_plan(
+        &ctx,
+        &FamilyMap::default(),
+        &outcome.final_plan,
+    );
+    assert!(report.is_clean(), "{report}");
 }
 
 #[test]

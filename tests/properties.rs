@@ -41,7 +41,8 @@ proptest! {
         demand[ModelFamily::Bert] = d_bert;
         demand[ModelFamily::MobileNet] = d_mob;
         let out = solve_allocation(&ctx, &demand, None, &MilpConfig::default()).unwrap();
-        prop_assert_eq!(out.plan.validate(&ctx), None);
+        let report = proteus::core::allocation::audit::audit_plan(&ctx, &demand, &out.plan);
+        prop_assert!(report.is_clean(), "{}", report);
         if out.shrink == 1.0 {
             // Strict path: every family's full demand is covered.
             for family in [ModelFamily::EfficientNet, ModelFamily::ResNet,

@@ -20,6 +20,7 @@
 //! | shrink-scaled routed throughput covers offered demand | Eqs. 4 + 6 | [`PlanViolation::CoverageShortfall`] |
 //! | reported per-family capacity = Σ hosting peaks | bookkeeping for Eq. 5 | [`PlanViolation::CapacityMisreported`] |
 //! | nothing is placed on or routed to a down device | failure-aware replanning (§5) | [`PlanViolation::DownDevice`] |
+//! | the plan covers every device of the cluster it was solved for | Eq. 1 ranges over all devices | [`PlanViolation::UncoveredDevices`] |
 
 use std::fmt;
 
@@ -138,6 +139,14 @@ pub enum PlanViolation {
         /// The dead device.
         device: DeviceId,
     },
+    /// The plan covers fewer devices than the cluster: it was solved for a
+    /// different (smaller) cluster.
+    UncoveredDevices {
+        /// Devices the plan covers.
+        plan_devices: usize,
+        /// Devices in the cluster.
+        cluster_devices: usize,
+    },
 }
 
 impl PlanViolation {
@@ -155,6 +164,7 @@ impl PlanViolation {
             PlanViolation::InvalidRoutingWeight { .. } => "invalid-routing-weight",
             PlanViolation::DuplicateRouting { .. } => "duplicate-routing",
             PlanViolation::DownDevice { .. } => "down-device",
+            PlanViolation::UncoveredDevices { .. } => "uncovered-devices",
         }
     }
 }
@@ -225,6 +235,13 @@ impl fmt::Display for PlanViolation {
             PlanViolation::DownDevice { device } => {
                 write!(f, "plan uses down device {device}")
             }
+            PlanViolation::UncoveredDevices {
+                plan_devices,
+                cluster_devices,
+            } => write!(
+                f,
+                "plan covers {plan_devices} devices but the cluster has {cluster_devices}"
+            ),
         }
     }
 }
@@ -278,6 +295,12 @@ pub fn audit_plan(
 ) -> PlanAuditReport {
     let mut violations = Vec::new();
     let mut devices_checked = 0usize;
+    if plan.num_devices() < ctx.cluster.len() {
+        violations.push(PlanViolation::UncoveredDevices {
+            plan_devices: plan.num_devices(),
+            cluster_devices: ctx.cluster.len(),
+        });
+    }
 
     // --- Per-device checks: Eq. 1 is structural (one Option per device);
     // Eqs. 2–3 and 7 are re-derived from zoo + device specs, not from the
@@ -465,6 +488,38 @@ mod tests {
         let report = audit_plan(&env.ctx(), &d, &plan);
         assert!(report.is_clean(), "unexpected violations: {report}");
         assert!(report.devices_checked > 0);
+    }
+
+    #[test]
+    fn catches_plan_solved_for_a_smaller_cluster() {
+        let env = Env::new();
+        let d = demand();
+        let solved_on = Cluster::with_counts(1, 0, 1);
+        let small = AllocContext {
+            cluster: &solved_on,
+            ..env.ctx()
+        };
+        let plan = solve_allocation(&small, &d, None, &MilpConfig::default())
+            .unwrap()
+            .plan;
+        assert!(audit_plan(&small, &d, &plan).is_clean());
+        let grown = Cluster::with_counts(1, 0, 2);
+        let report = audit_plan(
+            &AllocContext {
+                cluster: &grown,
+                ..env.ctx()
+            },
+            &d,
+            &plan,
+        );
+        assert_eq!(
+            report.violations,
+            vec![PlanViolation::UncoveredDevices {
+                plan_devices: 2,
+                cluster_devices: 3,
+            }],
+            "{report}"
+        );
     }
 
     #[test]

@@ -49,6 +49,15 @@ impl AllocContext<'_> {
     pub fn up_len(&self) -> usize {
         self.cluster.iter().filter(|s| self.is_up(s.id)).count()
     }
+
+    /// Peak QPS of `variant` on `device`; 0 when the device is down or
+    /// unknown.
+    pub(crate) fn peak_qps(&self, variant: VariantId, device: DeviceId) -> f64 {
+        match self.cluster.device(device) {
+            Some(spec) if self.is_up(device) => self.store.peak_qps(variant, spec.device_type),
+            _ => 0.0,
+        }
+    }
 }
 
 /// A complete resource-allocation decision: per-device variant assignment

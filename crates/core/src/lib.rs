@@ -64,6 +64,7 @@
 
 pub mod allocation;
 pub mod batching;
+mod control;
 pub mod demand;
 pub mod query;
 pub mod router;

@@ -65,14 +65,8 @@ fn finish_plan(ctx: &AllocContext<'_>, plan: &mut AllocationPlan) {
     let mut capacity: FamilyMap<f64> = FamilyMap::default();
     for (device, variant) in plan.assignments() {
         // Defensive: heuristics never assign down devices, but routing to
-        // one would be unserveable either way.
-        if !ctx.is_up(device) {
-            continue;
-        }
-        let Some(spec) = ctx.cluster.device(device) else {
-            continue;
-        };
-        let peak = ctx.store.peak_qps(variant, spec.device_type);
+        // one would be unserveable either way (its peak is 0).
+        let peak = ctx.peak_qps(variant, device);
         if peak > 0.0 {
             routing[variant.family].push((device, peak));
             capacity[variant.family] += peak;
@@ -207,8 +201,8 @@ pub enum ClipperMode {
 #[derive(Debug)]
 pub struct ClipperAllocator {
     mode: ClipperMode,
-    config: MilpConfig,
-    last_stats: Option<SolveStats>,
+    /// The MILP restricted to the mode's accuracy extreme.
+    milp: ProteusAllocator,
 }
 
 impl ClipperAllocator {
@@ -218,13 +212,16 @@ impl ClipperAllocator {
             ClipperMode::HighThroughput => VariantRestriction::LeastAccurate,
             ClipperMode::HighAccuracy => VariantRestriction::MostAccurate,
         };
+        let config = MilpConfig {
+            restriction,
+            ..MilpConfig::default()
+        };
         Self {
             mode,
-            config: MilpConfig {
-                restriction,
-                ..MilpConfig::default()
+            milp: ProteusAllocator {
+                config,
+                ..ProteusAllocator::default()
             },
-            last_stats: None,
         }
     }
 }
@@ -246,22 +243,13 @@ impl Allocator for ClipperAllocator {
         ctx: &AllocContext<'_>,
         demand: &FamilyMap<f64>,
         current: Option<&AllocationPlan>,
-        _now: SimTime,
+        now: SimTime,
     ) -> AllocationPlan {
-        self.last_stats = None;
-        match solve_allocation(ctx, demand, current, &self.config) {
-            Ok(outcome) => {
-                self.last_stats = Some(outcome.stats);
-                outcome.plan
-            }
-            Err(_) => current
-                .cloned()
-                .unwrap_or_else(|| AllocationPlan::empty(ctx.cluster.len())),
-        }
+        self.milp.allocate(ctx, demand, current, now)
     }
 
     fn last_solve_stats(&self) -> Option<SolveStats> {
-        self.last_stats
+        self.milp.last_stats
     }
 }
 
@@ -323,14 +311,7 @@ impl Allocator for SommelierAllocator {
             let variants: Vec<VariantId> = ctx.zoo.variants_of(family).map(|v| v.id()).collect();
             // Per-device: index into `variants`, starting at the most
             // accurate feasible one.
-            let peak = |v: VariantId, d: DeviceId| {
-                if !ctx.is_up(d) {
-                    return 0.0;
-                }
-                ctx.cluster
-                    .device(d)
-                    .map_or(0.0, |s| ctx.store.peak_qps(v, s.device_type))
-            };
+            let peak = |v: VariantId, d: DeviceId| ctx.peak_qps(v, d);
             let mut chosen: Vec<(DeviceId, usize)> = Vec::new();
             for &d in &devices {
                 let best = (0..variants.len())
@@ -419,15 +400,7 @@ impl Allocator for InfaasAccuracyAllocator {
                 current.and_then(|c| c.assignment(d))
             })
             .collect();
-        let peak_of = |v: VariantId, d: usize| {
-            let id = DeviceId(d as u32);
-            if !ctx.is_up(id) {
-                return 0.0;
-            }
-            ctx.cluster
-                .device(id)
-                .map_or(0.0, |s| ctx.store.peak_qps(v, s.device_type))
-        };
+        let peak_of = |v: VariantId, d: usize| ctx.peak_qps(v, DeviceId(d as u32));
         let capacity = |assignment: &[Option<VariantId>], family: ModelFamily| -> f64 {
             assignment
                 .iter()

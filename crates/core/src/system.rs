@@ -7,12 +7,14 @@
 //!   [`Router`] to a worker, queued, and batched by
 //!   the worker's [`BatchPolicy`]; completions and drops feed the
 //!   [`MetricsCollector`].
-//! * **Control path** — a [`DemandEstimator`] (the monitoring daemon) rolls
-//!   per-second statistics; the Resource Manager re-invokes the
+//! * **Control path** — the crate-private control plane: a
+//!   [`DemandEstimator`](crate::DemandEstimator) (the monitoring daemon)
+//!   rolls per-second statistics; the Resource Manager re-invokes the
 //!   [`Allocator`] periodically, or immediately when a demand burst
 //!   overshoots planned capacity (with a cooldown), or — for critical-path
-//!   allocators like INFaaS — on every monitoring tick. Plan changes incur
-//!   model-load delays during which the affected device cannot serve.
+//!   allocators like INFaaS — on every monitoring tick. The engine applies
+//!   each plan it commits; plan changes incur model-load delays during
+//!   which the affected device cannot serve.
 //!
 //! The optional execution noise (latency jitter + container startup delay)
 //! models the difference between the paper's simulator and its physical
@@ -23,7 +25,8 @@ use std::collections::BTreeMap;
 
 use proteus_metrics::MetricsCollector;
 use proteus_profiler::{
-    Cluster, DeviceId, DeviceSpec, ModelZoo, Profile, ProfileStore, SloPolicy, VariantId,
+    Cluster, DeviceId, DeviceSpec, DeviceType, ModelZoo, Profile, ProfileStore, SloPolicy,
+    VariantId,
 };
 use proteus_sim::{Actor, EventKey, FaultKind, FaultSchedule, SimTime, Simulation};
 use proteus_solver::SolveStats;
@@ -41,12 +44,15 @@ use proteus_workloads::QueryArrival;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::allocation::{AllocContext, AllocationPlan};
+use crate::allocation::AllocationPlan;
 use crate::batching::{BatchDecision, BatchPolicy};
+use crate::control::{ControlPlane, PendingSolve, Step, MONITOR_PERIOD};
+// Re-exported so the solve-latency mode stays configurable from here.
+pub use crate::control::SolveLatency;
 use crate::router::Router;
 use crate::schedulers::Allocator;
 use crate::worker::{Worker, WorkerState};
-use crate::{DemandEstimator, FamilyMap, Query, QueryId};
+use crate::{FamilyMap, Query, QueryId};
 
 /// Configuration of a serving run.
 #[derive(Debug, Clone)]
@@ -108,105 +114,6 @@ pub struct SystemConfig {
     /// [`SolveLatency::Zero`] (the default) commits plans at the trigger
     /// instant, preserving historical event streams byte-for-byte.
     pub solve_latency: SolveLatency,
-}
-
-/// Simulated control-plane latency: the time between a replan trigger and
-/// the new plan taking effect, during which the system keeps serving under
-/// the old (stale) plan.
-///
-/// The delay is always derived from *deterministic* inputs — fixed
-/// configuration or the solver's own search counters — never from measured
-/// wall time, so runs stay byte-reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum SolveLatency {
-    /// Plans are solved and applied in the same sim instant (the historical
-    /// behaviour; keeps existing fingerprints and golden traces).
-    #[default]
-    Zero,
-    /// Every solve takes exactly this many seconds.
-    Fixed(f64),
-    /// Cost model calibrated from [`SolveStats`] search counters
-    /// (branch-and-bound nodes, simplex pivots): lands near the paper's
-    /// ~4.2 s at the fig4 operating point and scales with instance
-    /// hardness. Allocators that expose no solver statistics (the
-    /// heuristic baselines) are charged the base cost only.
-    Model,
-}
-
-/// Base seconds of every modeled solve: problem build + solver startup.
-/// Calibrated with the per-node/per-pivot rates so the fig4 operating
-/// point (~8.6 nodes, ~325 pivots per solve) lands near the paper's
-/// reported ~4.2 s MILP solve time (§6.8).
-const SOLVE_MODEL_BASE_SECS: f64 = 3.0;
-/// Modeled seconds per branch-and-bound node explored.
-const SOLVE_MODEL_SECS_PER_NODE: f64 = 0.15;
-/// Modeled seconds per simplex pivot.
-const SOLVE_MODEL_SECS_PER_PIVOT: f64 = 1.0e-3;
-/// Ceiling on a modeled solve, seconds (a solve longer than the planning
-/// period would starve the control loop entirely).
-const SOLVE_MODEL_MAX_SECS: f64 = 20.0;
-
-impl SolveLatency {
-    /// The simulated solve duration, or `None` for the zero-latency
-    /// (synchronous-commit) mode. `stats` is the just-finished solve's
-    /// search counters, when the allocator is solver-backed.
-    fn delay(self, stats: Option<&SolveStats>) -> Option<SimTime> {
-        match self {
-            SolveLatency::Zero => None,
-            SolveLatency::Fixed(secs) => Some(SimTime::from_secs_f64(secs.max(1e-9))),
-            SolveLatency::Model => {
-                let secs = match stats {
-                    Some(s) => (SOLVE_MODEL_BASE_SECS
-                        + SOLVE_MODEL_SECS_PER_NODE * s.nodes as f64
-                        + SOLVE_MODEL_SECS_PER_PIVOT * s.simplex_iterations as f64)
-                        .min(SOLVE_MODEL_MAX_SECS),
-                    None => SOLVE_MODEL_BASE_SECS,
-                };
-                Some(SimTime::from_secs_f64(secs))
-            }
-        }
-    }
-}
-
-impl std::str::FromStr for SolveLatency {
-    type Err = String;
-
-    /// Parses `zero`, `model`, or `fixed:<secs>`.
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "zero" => Ok(SolveLatency::Zero),
-            "model" => Ok(SolveLatency::Model),
-            _ => match s.strip_prefix("fixed:") {
-                Some(secs) => {
-                    let secs: f64 = secs
-                        .parse()
-                        .map_err(|_| format!("bad fixed solve latency: {s:?}"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err(format!("fixed solve latency must be positive, got {secs}"));
-                    }
-                    if SimTime::checked_from_secs_f64(secs).is_none() {
-                        return Err(format!(
-                            "fixed solve latency {secs} s is beyond the simulated time range"
-                        ));
-                    }
-                    Ok(SolveLatency::Fixed(secs))
-                }
-                None => Err(format!(
-                    "unknown solve latency {s:?} (expected zero, model, or fixed:<secs>)"
-                )),
-            },
-        }
-    }
-}
-
-impl std::fmt::Display for SolveLatency {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SolveLatency::Zero => write!(f, "zero"),
-            SolveLatency::Fixed(secs) => write!(f, "fixed:{secs}"),
-            SolveLatency::Model => write!(f, "model"),
-        }
-    }
 }
 
 /// Configuration of the §7 hardware-scaling tandem extension.
@@ -468,7 +375,7 @@ enum Event {
         generation: u64,
     },
     /// §7 tandem extension: an ordered device comes online.
-    ProvisionReady(proteus_profiler::DeviceType),
+    ProvisionReady(DeviceType),
     /// One-shot re-allocation after a provisioning batch lands (scheduled
     /// behind the last same-instant [`Event::ProvisionReady`]).
     ProvisionedRealloc,
@@ -496,11 +403,6 @@ impl ServingSystem {
     /// The profile store the system operates on.
     pub fn store(&self) -> &ProfileStore {
         &self.store
-    }
-
-    /// The allocator's report name.
-    pub fn allocator_name(&self) -> &'static str {
-        self.allocator.name()
     }
 
     /// Replays `arrivals` (sorted by time) through the system.
@@ -538,51 +440,24 @@ impl ServingSystem {
             .provision_demand
             .unwrap_or_else(|| mean_demand(arrivals));
 
-        let n = self.config.cluster.len();
         let mut engine = Engine {
             config: &self.config,
             store: &self.store,
-            allocator: self.allocator.as_mut(),
             arrivals,
-            horizon,
-            cluster: self.config.cluster.clone(),
-            devices: Vec::with_capacity(n),
+            devices: Vec::with_capacity(self.config.cluster.len()),
             slo_by_family: FamilyMap::from_fn(|f| SimTime::from_millis_f64(self.store.slo_ms(f))),
-            routers: Router::from_plan(&AllocationPlan::empty(n)),
-            plan: AllocationPlan::empty(n),
-            estimator: DemandEstimator::new(MONITOR_PERIOD, 0.4),
+            routers: Router::from_plan(&AllocationPlan::empty(self.config.cluster.len())),
             rng: StdRng::seed_from_u64(self.config.seed),
             // Dedicated stream: fault draws must not perturb the execution
             // noise sequence, so a fault-free schedule replays identically.
             fault_rng: StdRng::seed_from_u64(self.config.seed ^ 0x00c0_ffee_fa17_0000),
-            last_realloc: SimTime::ZERO,
-            planned_for: FamilyMap::default(),
-            reallocations: 0,
-            burst_reallocations: 0,
-            allocator_wall_secs: 0.0,
-            solver_stats: SolveStats::default(),
-            shrunk_plans: 0,
             batching_proto: self.batching.clone_box(),
-            extra_ordered: 0,
-            provisioned: 0,
-            provision_realloc_at: None,
             retries: BTreeMap::new(),
-            down: Vec::new(),
             next_batch: 0,
             batch_pool: Vec::new(),
             scratch: Vec::new(),
             pool_reused: 0,
-            pool_alloc: 0,
-            replan_log: Vec::new(),
-            pending_solve: None,
-            queued_cause: None,
-            next_solve_id: 0,
-            last_solve_key: None,
-            liveness_epoch: 0,
-            plans_discarded: 0,
-            replans_coalesced: 0,
-            plan_audits: 0,
-            audit_violations: 0,
+            control: ControlPlane::new(&self.config, &self.store, self.allocator.as_mut(), horizon),
             obs: Observers {
                 metrics: MetricsCollector::new(SimTime::from_secs(1)),
                 trace_on: trace.enabled(),
@@ -604,8 +479,13 @@ impl ServingSystem {
 
         let mut sim: Simulation<Event> = Simulation::new();
         // Initial allocation: models are pre-loaded before the trace starts.
-        let initial = engine.run_allocator(SimTime::ZERO, ReplanCause::Initial, provision);
-        engine.commit_plan(initial, SimTime::ZERO, &mut sim);
+        let initial = engine.control.run_allocator(
+            SimTime::ZERO,
+            ReplanCause::Initial,
+            provision,
+            &mut engine.obs,
+        );
+        engine.commit(initial, SimTime::ZERO, &mut sim);
         // Injected faults drive ordinary sim events; anything scheduled
         // past the horizon can no longer affect metrics and is skipped.
         for fault in &self.config.faults.events {
@@ -619,11 +499,8 @@ impl ServingSystem {
         if MONITOR_PERIOD <= horizon {
             sim.schedule(MONITOR_PERIOD, Event::MonitorTick);
         }
-        if !engine.allocator.is_static() && !engine.allocator.on_critical_path() {
-            let period = SimTime::from_secs_f64(self.config.realloc_period_secs);
-            if period <= horizon {
-                sim.schedule(period, Event::Reallocate);
-            }
+        if let Some(period) = engine.control.period().filter(|&p| p <= horizon) {
+            sim.schedule(period, Event::Reallocate);
         }
         sim.run(&mut engine);
 
@@ -641,61 +518,49 @@ impl ServingSystem {
         //    terminal outcome (served or dropped; nothing in flight after
         //    the drain).
         if cfg!(debug_assertions) || self.config.audit {
-            if sim.time_regressions() > 0 {
-                engine.audit_violations += sim.time_regressions() as u32;
-            }
-            let summary = engine.obs.metrics.summary();
-            let accounted = summary.total_served + summary.total_dropped;
-            if summary.total_arrived != arrivals.len() as u64 || accounted != summary.total_arrived
-            {
-                engine.audit_violations += 1;
-                debug_assert!(
-                    false,
-                    "query conservation violated: {} arrivals, {} recorded, \
-                     {} served + {} dropped",
-                    arrivals.len(),
-                    summary.total_arrived,
-                    summary.total_served,
-                    summary.total_dropped
-                );
-            }
+            let s = engine.obs.metrics.summary();
+            let conserved = s.total_arrived == arrivals.len() as u64
+                && s.total_served + s.total_dropped == s.total_arrived;
+            engine.control.audit_violations +=
+                sim.time_regressions() as u32 + u32::from(!conserved);
+            let n = arrivals.len();
+            debug_assert!(conserved, "conservation violated: {n} arrivals, {s:?}");
         }
 
         let telemetry = engine.obs.finish(horizon, &engine.devices);
         engine.obs.trace.flush();
+        let control = engine.control;
+        // The log holds one record per committed plan, the initial one
+        // included, so the plan counters are counts over it.
+        let log = &control.replan_log;
+        let count = |keep: fn(&ReplanRecord) -> bool| log.iter().filter(|r| keep(r)).count() as u32;
         RunOutcome {
             metrics: engine.obs.metrics,
-            reallocations: engine.reallocations,
-            burst_reallocations: engine.burst_reallocations,
-            plans_discarded: engine.plans_discarded,
-            replans_coalesced: engine.replans_coalesced,
-            allocator_wall_secs: engine.allocator_wall_secs,
-            solver_stats: engine.solver_stats,
-            shrunk_plans: engine.shrunk_plans,
-            provisioned_devices: engine.provisioned,
+            reallocations: log.len() as u32,
+            burst_reallocations: count(|r| r.cause == ReplanCause::Burst),
+            plans_discarded: control.plans_discarded,
+            replans_coalesced: control.replans_coalesced,
+            allocator_wall_secs: control.allocator_wall_secs,
+            solver_stats: control.solver_stats,
+            shrunk_plans: count(|r| r.shrink > 1.0),
+            provisioned_devices: (control.cluster.len() - self.config.cluster.len()) as u32,
             device_stats: engine.devices.iter().map(|d| d.stats).collect(),
-            replan_log: engine.replan_log,
-            final_plan: engine.plan,
-            plan_audits: engine.plan_audits,
-            audit_violations: engine.audit_violations,
+            final_plan: control.plan,
+            replan_log: control.replan_log,
+            plan_audits: control.plan_audits,
+            audit_violations: control.audit_violations,
             hot_stats: HotPathStats {
                 events_delivered: sim.delivered(),
                 peak_event_queue: sim.peak_pending() as u64,
                 time_regressions: sim.time_regressions(),
                 batch_buffers_reused: engine.pool_reused,
-                batch_buffers_allocated: engine.pool_alloc,
+                // Every batch takes one buffer: from the pool or fresh.
+                batch_buffers_allocated: engine.next_batch - engine.pool_reused,
             },
             telemetry,
         }
     }
 }
-
-/// Monitoring daemon tick: the demand estimator rolls, bursts are
-/// detected and the telemetry plane seals on it.
-const MONITOR_PERIOD: SimTime = SimTime::from_secs(1);
-
-/// Minimum spacing between burst-triggered re-allocations.
-const BURST_COOLDOWN: SimTime = SimTime::from_secs(3);
 
 /// Drain time after the last arrival before metrics close.
 const DRAIN: SimTime = SimTime::from_secs(5);
@@ -714,25 +579,6 @@ const MAX_LOAD_ATTEMPTS: u32 = 3;
 
 /// Cap on the load-retry backoff exponent (delay × 2^attempt, at most 2^3).
 const LOAD_BACKOFF_CAP: u32 = 3;
-
-/// A solved-but-not-yet-committed plan: the control plane is inside its
-/// modeled solve window and the system is still serving under the old plan.
-#[derive(Debug)]
-struct PendingSolve {
-    /// Matches [`Event::SolveComplete`]; a discarded solve's completion
-    /// event finds a different (or no) pending id and is ignored.
-    id: u64,
-    /// The trigger instant (when demand was snapshotted).
-    started: SimTime,
-    cause: ReplanCause,
-    plan: AllocationPlan,
-    /// Headroom-scaled demand the allocator solved for.
-    demand: FamilyMap<f64>,
-    /// Raw observed demand at the trigger (pre-headroom).
-    observed: FamilyMap<f64>,
-    /// Real allocator wall time (stats only).
-    wall_secs: f64,
-}
 
 /// Shadow copy of an executing batch, kept so a device crash can salvage
 /// the in-flight queries (the DES kernel cancels by key and does not hand
@@ -829,7 +675,7 @@ impl<'a> Device<'a> {
 /// reported here once and recorded once, in the metrics collector (and
 /// the trace sink). The telemetry plane reads the collector on monitoring
 /// ticks and takes only control-plane hooks of its own.
-struct Observers<'a> {
+pub(crate) struct Observers<'a> {
     metrics: MetricsCollector,
     /// Flight-recorder sink; [`NullSink`] when tracing is off.
     trace: &'a mut dyn TraceSink,
@@ -850,7 +696,7 @@ impl Observers<'_> {
     /// Records the trace event `kind` builds; `kind` runs only when
     /// tracing is on.
     #[inline]
-    fn emit(&mut self, at: SimTime, kind: impl FnOnce() -> EventKind) {
+    pub(crate) fn emit(&mut self, at: SimTime, kind: impl FnOnce() -> EventKind) {
         if self.trace_on {
             self.trace.record(&TraceEvent { at, kind: kind() });
         }
@@ -942,7 +788,7 @@ impl Observers<'_> {
     }
 
     /// Books a replan's solve wall time and its plan application.
-    fn replanned(&mut self, wall_secs: f64) {
+    pub(crate) fn replanned(&mut self, wall_secs: f64) {
         if let Some(r) = self.registry() {
             r.on_phase(Phase::Solve, (wall_secs * 1e9) as u64);
             r.on_reallocation();
@@ -950,14 +796,14 @@ impl Observers<'_> {
     }
 
     /// The control plane opened a solve window at `now`.
-    fn solve_started(&mut self, now: SimTime) {
+    pub(crate) fn solve_started(&mut self, now: SimTime) {
         if let Some(r) = self.registry() {
             r.on_solve_started(now);
         }
     }
 
     /// The in-flight solve committed or was discarded at `now`.
-    fn solve_resolved(&mut self, now: SimTime) {
+    pub(crate) fn solve_resolved(&mut self, now: SimTime) {
         if let Some(r) = self.registry() {
             r.on_solve_resolved(now);
         }
@@ -1015,40 +861,22 @@ enum Placement {
     Retry { from: DeviceId, attempt: u32 },
 }
 
+/// The data plane: workers, routers, plan application and faults on
+/// workers, driven by the [`ControlPlane`] it hosts.
 struct Engine<'a> {
     config: &'a SystemConfig,
     store: &'a ProfileStore,
-    allocator: &'a mut dyn Allocator,
     arrivals: &'a [QueryArrival],
-    horizon: SimTime,
-    /// The (possibly growing, with the §7 tandem extension) cluster.
-    cluster: Cluster,
     /// One record per device, indexed by device id.
     devices: Vec<Device<'a>>,
     /// Per-family SLO spans, precomputed once so the arrival path does no
     /// store lookup or float conversion per query.
     slo_by_family: FamilyMap<SimTime>,
     routers: Vec<Router>,
-    plan: AllocationPlan,
-    estimator: DemandEstimator,
     rng: StdRng,
-    last_realloc: SimTime,
-    /// The (pre-headroom) demand the current plan was built for, per
-    /// family — the burst detector's baseline.
-    planned_for: FamilyMap<f64>,
-    reallocations: u32,
-    burst_reallocations: u32,
-    allocator_wall_secs: f64,
-    solver_stats: SolveStats,
-    shrunk_plans: u32,
     batching_proto: Box<dyn BatchPolicy>,
-    extra_ordered: u32,
-    provisioned: u32,
-    provision_realloc_at: Option<SimTime>,
     /// Per-query failure-retry counts (keyed by query id).
     retries: BTreeMap<u64, u32>,
-    /// Devices currently down, sorted — the allocation context's mask.
-    down: Vec<DeviceId>,
     /// RNG for fault draws (load failures), independent of execution noise.
     fault_rng: StdRng,
     /// Run-unique batch id counter.
@@ -1059,34 +887,11 @@ struct Engine<'a> {
     batch_pool: Vec<Vec<Query>>,
     /// Scratch buffer for expired-query drops (reused across events).
     scratch: Vec<Query>,
-    /// Batch buffers served from the pool / freshly allocated.
+    /// Batch buffers served from the pool; every other batch's buffer was
+    /// freshly allocated.
     pool_reused: u64,
-    pool_alloc: u64,
-    replan_log: Vec<ReplanRecord>,
-    /// The solve currently in flight, if any (nonzero [`SolveLatency`]).
-    pending_solve: Option<PendingSolve>,
-    /// Freshest trigger that arrived while a solve was in flight; the
-    /// commit path starts one re-solve with refreshed demand for it.
-    queued_cause: Option<ReplanCause>,
-    /// Monotone id source for [`Event::SolveComplete`] matching.
-    next_solve_id: u64,
-    /// `(instant, liveness epoch)` of the most recent solve start: a
-    /// second trigger at the identical timestamp under the identical
-    /// liveness set coalesces instead of double-solving.
-    last_solve_key: Option<(SimTime, u64)>,
-    /// Bumped whenever the set of usable devices changes (crash, recovery,
-    /// provisioned device coming online), so same-instant coalescing never
-    /// suppresses a replan that sees a different cluster.
-    liveness_epoch: u64,
-    /// In-flight plans discarded before commit.
-    plans_discarded: u32,
-    /// Triggers folded into an already-pending solve or a same-instant
-    /// earlier one.
-    replans_coalesced: u32,
-    /// Times the independent plan auditor ran.
-    plan_audits: u32,
-    /// Violations found by plan audits (accumulated into the outcome).
-    audit_violations: u32,
+    /// The Resource Manager and monitoring daemon.
+    control: ControlPlane<'a>,
     /// Metrics, trace and telemetry.
     obs: Observers<'a>,
 }
@@ -1118,36 +923,6 @@ impl Engine<'_> {
         for q in self.devices[device].worker.drain_queue() {
             self.obs.dropped(now, &q, reason);
         }
-    }
-
-    /// Runs the independent plan auditor against the plan just applied.
-    ///
-    /// Only solver-backed allocators are audited: the auditor re-derives
-    /// the MILP's constraint system (Eqs. 1–7), whose capacity and
-    /// coverage conventions the heuristic baselines do not follow.
-    /// `demand` is the demand handed to the allocator (pre-floor).
-    fn audit_applied_plan(&mut self, now: SimTime, demand: &FamilyMap<f64>) {
-        if !(cfg!(debug_assertions) || self.config.audit) {
-            return;
-        }
-        if self.allocator.last_solve_stats().is_none() {
-            return;
-        }
-        let ctx = AllocContext {
-            cluster: &self.cluster,
-            zoo: &self.config.zoo,
-            store: self.store,
-            down: &self.down,
-        };
-        let report = crate::allocation::audit::audit_plan(&ctx, demand, &self.plan);
-        self.plan_audits += 1;
-        self.audit_violations += report.violations.len() as u32;
-        self.obs.emit(now, || EventKind::AuditReport {
-            violations: report.violations.len() as u32,
-            devices_checked: report.devices_checked as u32,
-            families_checked: report.families_checked as u32,
-        });
-        debug_assert!(report.is_clean(), "plan audit failed at {now}: {report}");
     }
 
     /// Whether `device` can hold both variants' weights at once — the
@@ -1199,16 +974,9 @@ impl Engine<'_> {
 
     /// Takes a batch buffer from the reuse pool (or allocates one).
     fn take_buffer(&mut self) -> Vec<Query> {
-        match self.batch_pool.pop() {
-            Some(buf) => {
-                self.pool_reused += 1;
-                buf
-            }
-            None => {
-                self.pool_alloc += 1;
-                Vec::new()
-            }
-        }
+        let buf = self.batch_pool.pop();
+        self.pool_reused += u64::from(buf.is_some());
+        buf.unwrap_or_default()
     }
 
     /// Re-evaluates batching on an idle worker.
@@ -1325,12 +1093,6 @@ impl Engine<'_> {
         }
     }
 
-    fn start_load(&mut self, device: usize, now: SimTime, sim: &mut Simulation<Event>) {
-        let variant = self.devices[device].worker.variant();
-        let delay = self.load_delay(variant);
-        self.start_load_with_delay(device, now, delay, sim);
-    }
-
     /// Starts a model-load window of an explicit duration (the duration is
     /// pre-computed when a plan retargets a busy worker, and stretched by
     /// backoff when a load attempt fails).
@@ -1370,10 +1132,13 @@ impl Engine<'_> {
     }
 
     /// Puts a new plan in force, returning how many devices changed
-    /// variant assignment.
+    /// variant assignment. The initial plan is `preload`ed: its models are
+    /// in place before the trace starts, so variants are placed without
+    /// load delays.
     fn apply_plan(
         &mut self,
-        plan: AllocationPlan,
+        plan: &AllocationPlan,
+        preload: bool,
         now: SimTime,
         sim: &mut Simulation<Event>,
     ) -> u32 {
@@ -1449,6 +1214,9 @@ impl Engine<'_> {
             }
             dev.set_variant(new, self.store);
             dev.load_attempts = 0;
+            if preload {
+                continue;
+            }
             if let WorkerState::Busy(_) = dev.worker.state() {
                 // Swap after the in-flight batch completes; the real
                 // weight-transfer delay for the *new* variant is
@@ -1460,10 +1228,10 @@ impl Engine<'_> {
                 to_load.push(i);
             }
         }
-        self.routers = Router::from_plan(&plan);
-        self.plan = plan;
+        self.routers = Router::from_plan(plan);
         for i in to_load {
-            self.start_load(i, now, sim);
+            let delay = self.load_delay(self.devices[i].worker.variant());
+            self.start_load_with_delay(i, now, delay, sim);
         }
         // Re-route displaced queries through the new routers.
         let touched = displaced
@@ -1529,243 +1297,41 @@ impl Engine<'_> {
         Some(d)
     }
 
-    /// A replan trigger. Coalesces with a same-instant earlier trigger or
-    /// an in-flight solve; otherwise starts a solve.
+    /// A replan trigger, handed to the control plane.
     fn reallocate(&mut self, now: SimTime, cause: ReplanCause, sim: &mut Simulation<Event>) {
-        // Same-instant re-entrancy: a DeviceFailure replan fired from the
-        // fault handler plus a Periodic tick at the identical timestamp
-        // (and identical liveness set) must not double-solve.
-        if self.last_solve_key == Some((now, self.liveness_epoch)) {
-            self.replans_coalesced += 1;
-            return;
-        }
-        // Mid-solve trigger: fold into one pending re-solve. The commit
-        // path starts it with demand refreshed at commit time.
-        if self.pending_solve.is_some() {
-            self.obs.emit(now, || EventKind::ReplanTriggered { cause });
-            self.queued_cause = Some(cause);
-            self.replans_coalesced += 1;
-            return;
-        }
-        self.begin_solve(now, cause, sim);
+        let step = self.control.trigger(now, cause, &mut self.obs);
+        self.follow(step, now, sim);
     }
 
-    /// Snapshots demand, runs the allocator, and either commits the plan
-    /// in place ([`SolveLatency::Zero`]) or holds it as a [`PendingSolve`]
-    /// until the modeled solve window elapses — the system keeps serving
-    /// under the old plan for the whole window.
-    ///
-    /// This function is a determinism-taint sink for proteus-lint: the
-    /// `SolveComplete` event scheduled here is sim-visible, so no
-    /// nondeterministic value may flow into it.
-    fn begin_solve(&mut self, now: SimTime, cause: ReplanCause, sim: &mut Simulation<Event>) {
-        // Critical-path allocators (INFaaS) react to the raw last-second
-        // rate — they decide per query, with no monitoring-daemon smoothing;
-        // the decoupled controller plans on smoothed statistics.
-        let observed = if self.allocator.on_critical_path() {
-            self.estimator.instantaneous()
-        } else {
-            self.estimator.for_planning()
-        };
-        let pending = self.run_allocator(now, cause, observed);
-        let stats = self.allocator.last_solve_stats();
-        match self.config.solve_latency.delay(stats.as_ref()) {
-            None => self.commit_plan(pending, now, sim),
-            Some(delta) => {
-                self.next_solve_id += 1;
-                let until = now.saturating_add(delta);
-                self.obs
-                    .emit(now, || EventKind::SolveStarted { cause, until });
-                self.obs.solve_started(now);
-                // A window that saturates the clock outlasts the run: its
-                // plan never commits.
-                if until < SimTime::MAX {
-                    sim.schedule(
-                        until,
-                        Event::SolveComplete {
-                            id: self.next_solve_id,
-                        },
-                    );
-                }
-                self.pending_solve = Some(pending);
+    /// Carries out what the control plane asked for: open a solve window
+    /// or put a plan in force.
+    fn follow(&mut self, step: Step, now: SimTime, sim: &mut Simulation<Event>) {
+        match step {
+            Step::Idle => {}
+            Step::Window { id, at } => {
+                sim.schedule(at, Event::SolveComplete { id });
             }
+            Step::Commit(solve) => self.commit(*solve, now, sim),
         }
     }
 
-    /// Runs the allocator for `observed` demand plus headroom and books the
-    /// solve (trace events, solver statistics, wall time), returning the
-    /// plan uncommitted. The [`ReplanCause::Initial`] solve starts from no
-    /// previous plan and is not a telemetry reallocation.
-    fn run_allocator(
-        &mut self,
-        now: SimTime,
-        cause: ReplanCause,
-        observed: FamilyMap<f64>,
-    ) -> PendingSolve {
-        self.last_solve_key = Some((now, self.liveness_epoch));
-        // The burst cooldown anchors at the trigger: while the control
-        // plane is (or was just) working on a plan, a burst must not pile
-        // a second solve on top.
-        self.last_realloc = now;
-        let demand = observed.scaled(self.config.demand_headroom);
-        self.obs.emit(now, || EventKind::ReplanTriggered { cause });
-        let initial = cause == ReplanCause::Initial;
-        let ctx = AllocContext {
-            cluster: &self.cluster,
-            zoo: &self.config.zoo,
-            store: self.store,
-            down: &self.down,
-        };
-        let previous = (!initial).then_some(&self.plan);
-        // lint:allow(wall-clock) — measures real solver wall time for
-        // SolveStats reporting; the result never feeds sim logic (the
-        // modeled solve window is built from search counters).
-        let start = std::time::Instant::now();
-        let plan = self.allocator.allocate(&ctx, &demand, previous, now);
-        let wall_secs = start.elapsed().as_secs_f64();
-        self.allocator_wall_secs += wall_secs;
-        if !initial {
-            self.obs.replanned(wall_secs);
-        }
-        if let Some(stats) = self.allocator.last_solve_stats() {
-            self.solver_stats += stats;
-            self.obs.emit(now, || EventKind::SolveStats {
-                nodes: stats.nodes,
-                pivots: stats.simplex_iterations,
-                warm_starts: stats.warm_starts,
-                wall_nanos: stats.wall.as_nanos() as u64,
-            });
-        }
-        PendingSolve {
-            id: self.next_solve_id + 1,
-            started: now,
-            cause,
-            plan,
-            demand,
-            observed,
-            wall_secs,
-        }
-    }
-
-    /// Puts a solved plan in force at `now` and books every counter that
-    /// describes a *committed* plan (discarded solves book nothing here).
-    fn commit_plan(&mut self, pending: PendingSolve, now: SimTime, sim: &mut Simulation<Event>) {
-        let PendingSolve {
-            started,
-            cause,
-            plan,
-            demand,
-            observed,
-            wall_secs,
-            ..
-        } = pending;
-        self.reallocations += 1;
-        if cause == ReplanCause::Burst {
-            self.burst_reallocations += 1;
-        }
-        let shrink = plan.shrink();
-        if shrink > 1.0 {
-            self.shrunk_plans += 1;
-        }
-        // The burst detector's baseline: what this plan was built for.
-        self.planned_for = observed;
-        let changed = if cause == ReplanCause::Initial {
-            self.preload_plan(plan)
-        } else {
-            self.order_hardware(&plan, &demand, now, sim);
-            let apply_t0 = self.obs.phase_start(Phase::ReplanApply);
-            let changed = self.apply_plan(plan, now, sim);
-            self.obs.phase_end(Phase::ReplanApply, apply_t0);
-            changed
-        };
-        self.replan_log.push(ReplanRecord {
-            at: started,
-            committed_at: now,
-            cause,
-            wall_secs,
-            solve_secs: now.saturating_sub(started).as_secs_f64(),
-            changed,
-            shrink,
-            observed,
-            target: demand,
-        });
-        self.obs
-            .emit(now, || EventKind::PlanApplied { changed, shrink });
-        self.audit_applied_plan(now, &demand);
-    }
-
-    /// Puts the initial plan in force. Its models are pre-loaded before
-    /// the trace starts, so variants are placed without load delays;
-    /// returns how many devices host one.
-    fn preload_plan(&mut self, plan: AllocationPlan) -> u32 {
-        let mut changed = 0u32;
-        for (i, dev) in self.devices.iter_mut().enumerate() {
-            let assignment = plan.assignment(DeviceId(i as u32));
-            changed += u32::from(assignment.is_some());
-            dev.set_variant(assignment, self.store);
-            dev.worker.set_state(WorkerState::Idle);
-        }
-        self.routers = Router::from_plan(&plan);
-        self.plan = plan;
-        changed
-    }
-
-    /// §7 tandem: when even minimum accuracy cannot absorb the demand
-    /// (the plan had to shrink), order enough hardware to cover the
-    /// deficit; accuracy scaling carries the load until it arrives.
-    fn order_hardware(
-        &mut self,
-        plan: &AllocationPlan,
-        demand: &FamilyMap<f64>,
-        now: SimTime,
-        sim: &mut Simulation<Event>,
-    ) {
-        let Some(elastic) = self.config.elastic else {
-            return;
-        };
-        if plan.shrink() > elastic.shrink_trigger && self.extra_ordered < elastic.max_extra_devices
-        {
-            let deficit_qps = demand.total() * (1.0 - 1.0 / plan.shrink());
-            let per_device_qps =
-                (plan.total_capacity() / self.cluster.len().max(1) as f64).max(1.0);
-            let wanted = (deficit_qps / per_device_qps).ceil().max(1.0) as u32;
-            let order = wanted.min(elastic.max_extra_devices - self.extra_ordered);
-            let ready = now + SimTime::from_secs_f64(elastic.provision_delay_secs);
-            // Orders that cannot arrive inside the horizon are never
-            // placed, so they must not consume the device budget and
-            // block later, deliverable orders.
-            if ready <= self.horizon {
-                self.extra_ordered += order;
-                for _ in 0..order {
-                    sim.schedule(
-                        ready,
-                        Event::ProvisionReady(proteus_profiler::DeviceType::V100),
-                    );
+    /// Puts a solved plan in force at `now` and hands it back to the
+    /// control plane with the number of devices it changed.
+    fn commit(&mut self, solve: PendingSolve, now: SimTime, sim: &mut Simulation<Event>) {
+        let preload = solve.record.cause == ReplanCause::Initial;
+        let mut apply_t0 = None;
+        if !preload {
+            if let Some((count, ready)) = self.control.order_hardware(&solve, now) {
+                for _ in 0..count {
+                    sim.schedule(ready, Event::ProvisionReady(DeviceType::V100));
                 }
             }
+            apply_t0 = self.obs.phase_start(Phase::ReplanApply);
         }
-    }
-
-    /// Books a solve whose plan will never be applied: it was built
-    /// against a device liveness set that no longer exists.
-    fn discard(&mut self, now: SimTime, cause: ReplanCause) {
-        self.plans_discarded += 1;
-        self.obs.emit(now, || EventKind::PlanDiscarded {
-            cause,
-            reason: proteus_trace::DiscardReason::Liveness,
-        });
-        self.obs.solve_resolved(now);
-    }
-
-    /// Discards the in-flight solve (if any) because the device liveness
-    /// set changed mid-window.
-    fn discard_pending_solve(&mut self, now: SimTime) {
-        if let Some(p) = self.pending_solve.take() {
-            // The liveness-change replan that follows sees the new device
-            // set; an older queued cause would only duplicate it.
-            self.queued_cause = None;
-            self.discard(now, p.cause);
-        }
+        let changed = self.apply_plan(&solve.plan, preload, now, sim);
+        self.obs.phase_end(Phase::ReplanApply, apply_t0);
+        let step = self.control.committed(solve, changed, now, &mut self.obs);
+        self.follow(step, now, sim);
     }
 
     /// Applies one injected fault from the schedule.
@@ -1787,16 +1353,12 @@ impl Engine<'_> {
                 self.devices[d].worker.set_up(false);
                 self.obs
                     .emit(now, || EventKind::WorkerCrashed { device: id });
-                // The liveness set changed: an in-flight plan was built
-                // against a cluster that no longer exists. Discard it; the
+                // The liveness set changed: the control plane discards an
+                // in-flight plan built against a cluster that no longer
+                // exists and masks the device out of future plans; the
                 // DeviceFailure replan below solves against the new set.
-                self.liveness_epoch += 1;
-                self.discard_pending_solve(now);
-                // Mask the device out of future plans and stop routing to
-                // it right now — not at the next replan.
-                if let Err(pos) = self.down.binary_search(&id) {
-                    self.down.insert(pos, id);
-                }
+                self.control.liveness_changed(now, id, false, &mut self.obs);
+                // Stop routing to it right now — not at the next replan.
                 for router in &mut self.routers {
                     router.remove_target(id);
                 }
@@ -1826,9 +1388,7 @@ impl Engine<'_> {
                 dev.worker.set_state(WorkerState::Idle);
                 self.redispatch(now, id, salvage, sim);
                 // The controller replans immediately around the failure.
-                if !self.allocator.is_static() {
-                    self.reallocate(now, ReplanCause::DeviceFailure, sim);
-                }
+                self.reallocate(now, ReplanCause::DeviceFailure, sim);
             }
             FaultKind::DeviceRecover { .. } => {
                 if self.devices[d].worker.is_up() {
@@ -1839,23 +1399,17 @@ impl Engine<'_> {
                 // crash: a plan solved without this device is stale (and a
                 // coalesced same-instant trigger would see a different
                 // cluster), so the in-flight solve is discarded too.
-                self.liveness_epoch += 1;
-                self.discard_pending_solve(now);
+                self.control.liveness_changed(now, id, true, &mut self.obs);
                 // Back empty: no model survives a crash.
                 let dev = &mut self.devices[d];
                 dev.set_variant(None, self.store);
                 dev.worker.set_state(WorkerState::Idle);
                 dev.load_attempts = 0;
                 dev.online_since = Some(now);
-                if let Ok(pos) = self.down.binary_search(&id) {
-                    self.down.remove(pos);
-                }
                 self.obs
                     .emit(now, || EventKind::WorkerRecovered { device: id });
                 // Fold the recovered capacity back into service.
-                if !self.allocator.is_static() {
-                    self.reallocate(now, ReplanCause::DeviceFailure, sim);
-                }
+                self.reallocate(now, ReplanCause::DeviceFailure, sim);
             }
             FaultKind::StragglerStart { slowdown, .. } => {
                 // Clamp defensively: a sub-1.0 factor would be a speedup.
@@ -1915,7 +1469,7 @@ impl Actor for Engine<'_> {
                 let query =
                     Query::new(QueryId(i as u64), arrival.family, now, slo).with_cost(arrival.cost);
                 self.obs.arrived(now, &query);
-                self.estimator.record(arrival.family);
+                self.control.record(arrival.family);
                 if let Some(d) = self.place(now, query, Placement::Arrival) {
                     self.poke(d, now, sim);
                 }
@@ -1950,7 +1504,8 @@ impl Actor for Engine<'_> {
                     device: DeviceId(device),
                     batch,
                 });
-                let epoch = u64::from(self.reallocations);
+                // The served-query epoch: plans committed so far.
+                let epoch = self.control.replan_log.len() as u64;
                 let mut any_late = false;
                 for q in &fl.queries {
                     any_late |= !self.obs.served(now, q, accuracy, epoch);
@@ -2020,72 +1575,27 @@ impl Actor for Engine<'_> {
                 self.poke(d, now, sim);
             }
             Event::MonitorTick => {
-                self.estimator.roll(now);
-                if !self.allocator.is_static() {
-                    if self.allocator.on_critical_path() {
-                        // INFaaS-style: cheap heuristic runs every tick.
-                        self.reallocate(now, ReplanCause::CriticalPath, sim);
-                    } else {
-                        // Burst detection (monitoring daemon → controller):
-                        // demand outgrowing what the plan was built for.
-                        let inst = self.estimator.instantaneous();
-                        let calm = now.saturating_sub(self.last_realloc) >= BURST_COOLDOWN;
-                        let bursty = inst.iter().any(|(f, &rate)| {
-                            let planned = self.planned_for[f].max(1.0);
-                            // Relative growth plus a 3-sigma Poisson guard
-                            // band, so counting noise on low-rate families
-                            // does not masquerade as a burst.
-                            let trigger =
-                                self.config.burst_threshold * planned + 3.0 * planned.sqrt();
-                            rate > 5.0 && rate > trigger
-                        });
-                        if calm && bursty {
-                            self.reallocate(now, ReplanCause::Burst, sim);
-                        }
-                    }
+                if let Some(cause) = self.control.tick(now) {
+                    self.reallocate(now, cause, sim);
                 }
                 self.obs.tick(now, &self.devices);
                 let next = now + MONITOR_PERIOD;
-                if next <= self.horizon {
+                if next <= self.control.horizon {
                     sim.schedule(next, Event::MonitorTick);
                 }
             }
             Event::Reallocate => {
                 self.reallocate(now, ReplanCause::Periodic, sim);
                 let next = now + SimTime::from_secs_f64(self.config.realloc_period_secs);
-                if next <= self.horizon {
+                if next <= self.control.horizon {
                     sim.schedule(next, Event::Reallocate);
                 }
             }
             Event::SolveComplete { id } => {
-                // A discarded solve's completion still arrives; the id
-                // mismatch (or empty pending slot) rejects it.
-                let Some(p) = self.pending_solve.take() else {
-                    return;
-                };
-                if p.id != id {
-                    self.pending_solve = Some(p);
-                    return;
-                }
-                // Belt and braces: the discard path fires on every liveness
-                // change, so a pending plan can never reference a down
-                // device here — but a plan that does must not be applied
-                // under any circumstances.
-                if self.down.iter().any(|&d| p.plan.assignment(d).is_some()) {
-                    self.discard(now, p.cause);
-                    let cause = self.queued_cause.take().unwrap_or(p.cause);
-                    self.begin_solve(now, cause, sim);
-                    return;
-                }
-                self.obs
-                    .emit(now, || EventKind::SolveComplete { cause: p.cause });
-                self.obs.solve_resolved(now);
-                self.commit_plan(p, now, sim);
-                // Triggers that coalesced mid-window get their re-solve
-                // now, against demand observed at this instant.
-                if let Some(cause) = self.queued_cause.take() {
-                    self.begin_solve(now, cause, sim);
-                }
+                // A discarded solve's completion still arrives; the control
+                // plane rejects it.
+                let step = self.control.solve_complete(id, now, &mut self.obs);
+                self.follow(step, now, sim);
             }
             Event::StagedLoadDone { device, generation } => {
                 let d = device as usize;
@@ -2106,25 +1616,13 @@ impl Actor for Engine<'_> {
                 self.poke(d, now, sim);
             }
             Event::ProvisionReady(device_type) => {
-                let id = self.cluster.add(device_type);
-                // Cluster::add returned this id on the previous line, so the
-                // lookup cannot miss; if it ever does, skip the provision
-                // instead of panicking mid-run.
-                let Some(&spec) = self.cluster.device(id) else {
-                    return;
-                };
-                self.provisioned += 1;
-                // The usable device set grew: a same-instant replan (the
-                // ProvisionedRealloc below) must not be coalesced against a
-                // pre-provision solve key.
-                self.liveness_epoch += 1;
+                let (spec, first) = self.control.provision(device_type, now);
                 self.add_device(spec, now);
                 // Fold new devices into service with one re-allocation per
                 // provisioning batch, after every same-instant arrival has
                 // registered (FIFO ordering guarantees this event fires
                 // last).
-                if self.provision_realloc_at != Some(now) {
-                    self.provision_realloc_at = Some(now);
+                if first {
                     sim.schedule(now, Event::ProvisionedRealloc);
                 }
             }
@@ -2523,101 +2021,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_latency_parses_and_displays() {
-        for (text, want) in [
-            ("zero", SolveLatency::Zero),
-            ("model", SolveLatency::Model),
-            ("fixed:4.2", SolveLatency::Fixed(4.2)),
-        ] {
-            let parsed: SolveLatency = text.parse().unwrap();
-            assert_eq!(parsed, want, "{text}");
-            assert_eq!(parsed.to_string(), text);
-        }
-        assert!("warp".parse::<SolveLatency>().is_err());
-        assert!("fixed:0".parse::<SolveLatency>().is_err());
-        assert!("fixed:nope".parse::<SolveLatency>().is_err());
-        // Finite but past SimTime's ~584-year range.
-        let err = "fixed:1e300".parse::<SolveLatency>().unwrap_err();
-        assert!(err.contains("range"), "{err}");
-    }
-
-    /// Fragments the solve-latency grammar branches on.
-    const SOLVE_LATENCY_TOKENS: &[&str] = &[
-        "zero", "model", "fixed:", "fixed", ":", "0", "1", "4.2", "-1", "1e300", "2e10", "inf",
-        "NaN", ".", "e",
-    ];
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
-
-        /// Any input parses to a latency whose delay is representable, or
-        /// is rejected; it never panics, and what parses prints back to
-        /// itself.
-        #[test]
-        fn solve_latency_parse_never_panics(
-            pieces in proptest::collection::vec((0u8..2, 0u16..256, 0..SOLVE_LATENCY_TOKENS.len()), 0..8),
-        ) {
-            let bytes: Vec<u8> = pieces
-                .iter()
-                .flat_map(|&(pick, any, token)| {
-                    if pick == 0 {
-                        vec![any.to_le_bytes()[0]]
-                    } else {
-                        SOLVE_LATENCY_TOKENS[token].as_bytes().to_vec()
-                    }
-                })
-                .collect();
-            let text = String::from_utf8_lossy(&bytes);
-            for text in [text.to_string(), format!("fixed:{text}")] {
-                if let Ok(latency) = text.parse::<SolveLatency>() {
-                    let _ = latency.delay(None);
-                    proptest::prop_assert_eq!(
-                        latency.to_string().parse::<SolveLatency>(),
-                        Ok(latency)
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn solve_cost_model_is_monotone_and_capped() {
-        use proteus_solver::SolveStats;
-        assert_eq!(SolveLatency::Zero.delay(None), None);
-        // Heuristic allocators (no solver stats) pay the base cost only.
-        let base = SolveLatency::Model.delay(None).unwrap();
-        assert_eq!(base, SimTime::from_secs_f64(SOLVE_MODEL_BASE_SECS));
-        let small = SolveStats {
-            nodes: 5,
-            simplex_iterations: 100,
-            ..SolveStats::default()
-        };
-        let big = SolveStats {
-            nodes: 50,
-            simplex_iterations: 10_000,
-            ..SolveStats::default()
-        };
-        let d_small = SolveLatency::Model.delay(Some(&small)).unwrap();
-        let d_big = SolveLatency::Model.delay(Some(&big)).unwrap();
-        assert!(base < d_small && d_small < d_big);
-        // A pathological solve cannot starve the control loop forever.
-        let huge = SolveStats {
-            nodes: u64::from(u32::MAX),
-            simplex_iterations: u64::from(u32::MAX),
-            ..SolveStats::default()
-        };
-        assert_eq!(
-            SolveLatency::Model.delay(Some(&huge)).unwrap(),
-            SimTime::from_secs_f64(SOLVE_MODEL_MAX_SECS)
-        );
-        // Wall time never feeds the model: two stats differing only in
-        // wall produce the same delay.
-        let mut rewalled = small;
-        rewalled.wall = std::time::Duration::from_secs(1234);
-        assert_eq!(SolveLatency::Model.delay(Some(&rewalled)), Some(d_small));
-    }
-
-    #[test]
     fn same_instant_failure_and_periodic_replans_coalesce() {
         // Satellite 3 regression: a DeviceFailure replan from the fault
         // handler and the Periodic tick land on the identical sim instant
@@ -2758,6 +2161,69 @@ mod tests {
             .replan_log
             .iter()
             .all(|r| r.cause == ReplanCause::Initial));
+    }
+
+    #[test]
+    fn provision_mid_window_keeps_the_pending_plan_and_its_own_replan() {
+        // Triggers every 5 s open [t, t + 2) windows; a saturated cluster
+        // orders V100s at each commit, and they land 3 s later — at the
+        // instant of the next periodic trigger, right after it opened its
+        // window. That window's plan was solved without the new devices:
+        // it must still commit (a provision never discards), audit clean
+        // against the cluster its solve saw, and the provisioning
+        // re-allocation must not coalesce against the same-instant
+        // periodic solve: it gets its own re-solve when the window closes.
+        let mut config = SystemConfig::small();
+        config.audit = true;
+        config.realloc_period_secs = 5.0;
+        config.solve_latency = SolveLatency::Fixed(2.0);
+        config.elastic = Some(ElasticScaling {
+            provision_delay_secs: 3.0,
+            max_extra_devices: 6,
+            shrink_trigger: 1.02,
+        });
+        let mut system = ServingSystem::new(
+            config,
+            Box::new(ProteusAllocator::default()),
+            Box::new(ProteusBatching),
+        );
+        let mut sink = proteus_trace::MemorySink::new();
+        let outcome = system.run_traced(&flat_arrivals(2500.0, 25, 21), &mut sink);
+        let s = outcome.metrics.summary();
+        assert_eq!(s.total_arrived, s.total_served + s.total_dropped);
+        assert!(outcome.provisioned_devices >= 1, "no device provisioned");
+        assert_eq!(outcome.plans_discarded, 0);
+        assert!(outcome.plan_audits >= 1);
+        assert_eq!(outcome.audit_violations, 0);
+        let initial = SystemConfig::small().cluster.len() as u32;
+        let landings: Vec<SimTime> = sink
+            .events()
+            .iter()
+            .filter(
+                |e| matches!(e.kind, EventKind::WorkerOnline { device, .. } if device.0 >= initial),
+            )
+            .map(|e| e.at)
+            .collect();
+        let mut instants = landings;
+        instants.dedup();
+        let log = &outcome.replan_log;
+        // The same-instant case: a landing right after a periodic solve
+        // opened its window at that instant. That plan commits when the
+        // window closes, and the provisioning re-solve starts then.
+        let same_instant: Vec<_> = log
+            .iter()
+            .filter(|r| r.cause == ReplanCause::Periodic && instants.contains(&r.at))
+            .collect();
+        assert!(!same_instant.is_empty(), "scenario missed: {instants:?}");
+        for window in same_instant {
+            assert_eq!(window.committed_at, window.at + SimTime::from_secs(2));
+            assert!(
+                log.iter()
+                    .any(|r| r.cause == ReplanCause::Provisioned && r.at == window.committed_at),
+                "provision at {} got no re-solve of its own: {log:?}",
+                window.at
+            );
+        }
     }
 
     #[test]

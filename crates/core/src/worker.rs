@@ -115,11 +115,6 @@ impl Worker {
         &self.queue
     }
 
-    /// Contiguous view of the queue for the batching policy.
-    pub fn queue_slice(&mut self) -> &[Query] {
-        self.queue.make_contiguous()
-    }
-
     /// Enqueues a query; on a full queue the query is handed back so the
     /// caller can account the drop.
     ///

@@ -20,9 +20,9 @@ use crate::{Finding, Level};
 /// (`solve_allocation`, `allocate`), `BatchingPolicy::decide`, router
 /// choices (`route`), trace-event payloads (`emit` in core, `record`
 /// in the trace crate), and the control plane's solve-window scheduling
-/// (`begin_solve` computes the `SolveComplete` fire time — if wall time
-/// ever leaked into that delay, whole event timelines would diverge
-/// between runs).
+/// (`ControlPlane::begin_solve` computes the `SolveComplete` time — if
+/// wall time ever leaked into that delay, whole event timelines would
+/// diverge between runs).
 const SINKS: [(&str, &str); 7] = [
     ("decide", "crates/core/"),
     ("route", "crates/core/"),
@@ -388,9 +388,9 @@ mod tests {
     #[test]
     fn solve_window_scheduling_is_a_checked_sink() {
         let (graph, mut allows) = setup(&[(
-            "crates/core/src/system.rs",
+            "crates/core/src/control.rs",
             "fn wobble() -> f64 { let t = std::time::Instant::now(); 0.0 }\n\
-             impl Engine { fn begin_solve(&mut self) { let d = wobble(); } }\n",
+             impl ControlPlane { fn begin_solve(&mut self) { let d = wobble(); } }\n",
         )]);
         let findings = determinism_pass(&graph, &mut allows);
         assert_eq!(findings.len(), 1, "{findings:?}");

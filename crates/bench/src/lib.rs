@@ -1,8 +1,10 @@
-//! Shared experiment harness for the per-figure binaries.
+//! The experiment registry and the setup the experiments share.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` for the index). This library centralizes the contender
-//! line-up, the standard workload, and result-table helpers so that all
+//! Every entry of [`EXPERIMENTS`] regenerates one table or figure of the
+//! paper (see `DESIGN.md` for the index) and prints it to stdout;
+//! `proteus-bench <name>` runs one entry, and `results/<name>.txt` holds its
+//! committed output. This library also centralizes the contender line-up,
+//! the standard workloads and configs, and result-table helpers so that all
 //! experiments agree on their setup.
 
 #![forbid(unsafe_code)]
@@ -13,41 +15,68 @@ use proteus_core::schedulers::{
     SommelierAllocator,
 };
 use proteus_core::system::{RunOutcome, ServingSystem, SystemConfig};
+use proteus_core::FamilyMap;
 use proteus_metrics::RunSummary;
-use proteus_workloads::{DemandTrace, DiurnalTrace, QueryArrival, TraceBuilder};
+use proteus_profiler::ModelFamily;
+use proteus_workloads::{
+    ArrivalKind, ArrivalProcess, DemandTrace, DiurnalTrace, QueryArrival, TraceBuilder,
+};
 
-/// One contender: a display name plus factory closures for its allocator
+/// One registered experiment.
+pub struct Experiment {
+    /// The name `proteus-bench` runs it by: its module under
+    /// `src/experiments/` and the basename of its committed output in
+    /// `results/`.
+    pub name: &'static str,
+    /// Runs the experiment and prints its tables to stdout.
+    pub run: fn(),
+}
+
+/// Declares each experiment module and registers its `run` under the
+/// module's name, so the two cannot drift apart.
+macro_rules! experiments {
+    ($($name:ident),* $(,)?) => {
+        mod experiments {
+            $(pub mod $name;)*
+        }
+
+        /// Every experiment, in the order `proteus-bench`'s usage lists
+        /// them. This is the one list the binary, its usage text, the tests
+        /// and CI read.
+        pub const EXPERIMENTS: &[Experiment] = &[$(Experiment {
+            name: stringify!($name),
+            run: experiments::$name::run,
+        }),*];
+    };
+}
+
+experiments![
+    fig1_motivation,
+    fig4_end_to_end,
+    fig5_bursty,
+    fig6_batching,
+    fig7_ablation,
+    fig8_slo_sensitivity,
+    fig9_family_breakdown,
+    fig10_milp_scaling,
+    sim_vs_cluster,
+    ext_fairness,
+    ext_tandem,
+    ext_varsize,
+    calibration_peaks,
+    calibration_batching,
+    calibration_headroom,
+];
+
+/// One contender: a display name plus factory functions for its allocator
 /// and batching policy (fresh state per run).
 pub struct Contender {
     /// Name as shown in result tables (matches the paper's legend).
     pub name: &'static str,
-    allocator: fn() -> Box<dyn Allocator>,
-    batching: fn() -> Box<dyn BatchPolicy>,
-}
-
-impl Contender {
-    /// Creates a contender from factory functions.
-    pub fn new(
-        name: &'static str,
-        allocator: fn() -> Box<dyn Allocator>,
-        batching: fn() -> Box<dyn BatchPolicy>,
-    ) -> Self {
-        Self {
-            name,
-            allocator,
-            batching,
-        }
-    }
-
-    /// Instantiates the allocator.
-    pub fn allocator(&self) -> Box<dyn Allocator> {
-        (self.allocator)()
-    }
-
-    /// Instantiates the batching policy prototype.
-    pub fn batching(&self) -> Box<dyn BatchPolicy> {
-        (self.batching)()
-    }
+    /// Builds the allocator.
+    pub allocator: fn() -> Box<dyn Allocator>,
+    /// Builds the batching policy prototype.
+    pub batching: fn() -> Box<dyn BatchPolicy>,
 }
 
 /// The five systems of the end-to-end comparison (§6.1.1), with the
@@ -90,10 +119,44 @@ pub fn paper_contenders() -> Vec<Contender> {
 /// split across the nine applications (§6.1.3).
 pub fn paper_trace(seed: u64) -> (DiurnalTrace, Vec<QueryArrival>) {
     let trace = DiurnalTrace::paper_like(24 * 60, 200.0, 1000.0, seed);
-    let arrivals = TraceBuilder::new(TraceBuilder::paper_families())
-        .seed(seed)
-        .build(&trace);
+    let arrivals = paper_arrivals(&trace, seed);
     (trace, arrivals)
+}
+
+/// Arrivals following `trace`'s demand, split across the paper's nine
+/// applications.
+pub(crate) fn paper_arrivals(trace: &dyn DemandTrace, seed: u64) -> Vec<QueryArrival> {
+    TraceBuilder::new(TraceBuilder::paper_families())
+        .seed(seed)
+        .build(trace)
+}
+
+/// `secs` of single-family arrivals at `qps` whose gaps follow `kind`.
+pub(crate) fn family_stream(
+    family: ModelFamily,
+    kind: ArrivalKind,
+    qps: f64,
+    secs: f64,
+    seed: u64,
+) -> Vec<QueryArrival> {
+    ArrivalProcess::new(kind, qps, seed)
+        .take_for_secs(secs)
+        .into_iter()
+        .map(|at| QueryArrival::new(at, family))
+        .collect()
+}
+
+/// The paper testbed with its allocation frozen: provisioned once for `qps`
+/// of `family` alone and never re-allocated (no periodic or burst replan),
+/// so the batching policy is the only variable.
+pub(crate) fn frozen_config(family: ModelFamily, qps: f64) -> SystemConfig {
+    let mut config = SystemConfig::paper_testbed();
+    config.realloc_period_secs = 1e9;
+    config.burst_threshold = f64::INFINITY;
+    let mut provision = FamilyMap::default();
+    provision[family] = qps;
+    config.provision_demand = Some(provision);
+    config
 }
 
 /// Runs one contender on a trace with the given config.
@@ -102,8 +165,16 @@ pub fn run_contender(
     config: SystemConfig,
     arrivals: &[QueryArrival],
 ) -> RunOutcome {
-    let mut system = ServingSystem::new(config, contender.allocator(), contender.batching());
-    system.run(arrivals)
+    ServingSystem::new(config, (contender.allocator)(), (contender.batching)()).run(arrivals)
+}
+
+/// Runs the Proteus allocator with `batching` on a trace.
+pub(crate) fn run_proteus(
+    config: SystemConfig,
+    batching: Box<dyn BatchPolicy>,
+    arrivals: &[QueryArrival],
+) -> RunOutcome {
+    ServingSystem::new(config, Box::new(ProteusAllocator::default()), batching).run(arrivals)
 }
 
 /// Formats the standard per-system summary row used by several figures:
@@ -170,8 +241,8 @@ mod tests {
     #[test]
     fn contenders_produce_fresh_instances() {
         let c = &paper_contenders()[4];
-        assert_eq!(c.allocator().name(), "proteus");
-        assert_eq!(c.batching().name(), "proteus");
+        assert_eq!((c.allocator)().name(), "proteus");
+        assert_eq!((c.batching)().name(), "proteus");
     }
 
     #[test]
@@ -185,9 +256,7 @@ mod tests {
 
     #[test]
     fn run_contender_smoke() {
-        let arrivals = TraceBuilder::new(TraceBuilder::paper_families())
-            .seed(1)
-            .build(&FlatTrace { qps: 30.0, secs: 5 });
+        let arrivals = paper_arrivals(&FlatTrace { qps: 30.0, secs: 5 }, 1);
         let outcome = run_contender(&paper_contenders()[4], SystemConfig::small(), &arrivals);
         let s = outcome.metrics.summary();
         assert_eq!(s.total_arrived, s.total_served + s.total_dropped);

@@ -43,7 +43,9 @@ fn is_sink(graph: &Graph, id: FnId) -> bool {
 }
 
 /// Whether fn `id` is a panic-reachability root: the serving loop
-/// (`ServingSystem::run*`) or a CLI / bench entry point.
+/// (`ServingSystem::run*`) or a CLI / bench entry point. An experiment's
+/// `run` is one: `proteus-bench`'s `main` reaches it only through the
+/// registry's fn pointers, which the call graph does not follow.
 fn is_root(graph: &Graph, id: FnId) -> bool {
     let f = &graph.fns[id];
     if f.is_test {
@@ -53,7 +55,8 @@ fn is_root(graph: &Graph, id: FnId) -> bool {
         return true;
     }
     let rel = graph.rel_of(id);
-    f.name == "main" && (rel.starts_with("crates/cli/") || rel.starts_with("crates/bench/"))
+    (f.name == "main" && (rel.starts_with("crates/cli/") || rel.starts_with("crates/bench/")))
+        || (f.name == "run" && rel.starts_with("crates/bench/src/experiments/"))
 }
 
 /// Per-file allow tables, keyed by workspace-relative path.

@@ -1,7 +1,7 @@
 //! Plain-text table and CSV rendering for the experiment binaries.
 //!
-//! The per-figure binaries in `proteus-bench` print the same rows/series the
-//! paper's figures plot; these helpers keep that output aligned and
+//! The experiments of `proteus-bench` print the same rows/series the paper's
+//! figures plot; these helpers keep that output aligned and
 //! machine-readable.
 //!
 //! # Examples

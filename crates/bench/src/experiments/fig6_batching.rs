@@ -6,22 +6,13 @@
 //! Nexus early-drop and Clipper AIMD, all mounted on the Proteus allocator
 //! exactly as §6.4 does.
 
-use crate::{family_stream, frozen_config, run_proteus};
+use crate::{fig6_run, FIG6_QPS as QPS, FIG6_SECS as SECS};
 use proteus_core::batching::{AimdBatching, BatchPolicy, NexusBatching, ProteusBatching};
 use proteus_metrics::report::{fmt_f, TextTable};
-use proteus_profiler::ModelFamily;
 use proteus_workloads::ArrivalKind;
 
 pub fn run() {
-    const QPS: f64 = 600.0;
-    const SECS: f64 = 120.0;
     println!("Fig. 6: batching policies at a fixed {QPS:.0} QPS for {SECS:.0} s per arrival law\n");
-
-    // Provision the frozen allocation for the offered load with the paper's
-    // tight 1.05 capacity margin, so batching efficiency is what separates
-    // the policies.
-    let mut config = frozen_config(ModelFamily::EfficientNet, QPS);
-    config.demand_headroom = 1.05;
 
     let kinds: [(&str, ArrivalKind); 3] = [
         ("uniform", ArrivalKind::Uniform),
@@ -45,8 +36,7 @@ pub fn run() {
         let mut batch_row = row.clone();
         let mut rs = Vec::new();
         for (_, kind) in kinds {
-            let arrivals = family_stream(ModelFamily::EfficientNet, kind, QPS, SECS, 77);
-            let outcome = run_proteus(config.clone(), policy.clone(), &arrivals);
+            let outcome = fig6_run(policy.clone(), kind, QPS);
             let s = outcome.metrics.summary();
             row.push(fmt_f(s.slo_violation_ratio, 4));
             rs.push(s.slo_violation_ratio);

@@ -131,21 +131,6 @@ pub(crate) fn paper_arrivals(trace: &dyn DemandTrace, seed: u64) -> Vec<QueryArr
         .build(trace)
 }
 
-/// `secs` of single-family arrivals at `qps` whose gaps follow `kind`.
-pub(crate) fn family_stream(
-    family: ModelFamily,
-    kind: ArrivalKind,
-    qps: f64,
-    secs: f64,
-    seed: u64,
-) -> Vec<QueryArrival> {
-    ArrivalProcess::new(kind, qps, seed)
-        .take_for_secs(secs)
-        .into_iter()
-        .map(|at| QueryArrival::new(at, family))
-        .collect()
-}
-
 /// The paper testbed with its allocation frozen: provisioned once for `qps`
 /// of `family` alone and never re-allocated (no periodic or burst replan),
 /// so the batching policy is the only variable.
@@ -157,6 +142,27 @@ pub(crate) fn frozen_config(family: ModelFamily, qps: f64) -> SystemConfig {
     provision[family] = qps;
     config.provision_demand = Some(provision);
     config
+}
+
+/// Fig. 6's offered load and provisioned capacity, in EfficientNet QPS.
+pub(crate) const FIG6_QPS: f64 = 600.0;
+/// Fig. 6's run length per arrival law, in seconds.
+pub(crate) const FIG6_SECS: f64 = 120.0;
+
+/// One run of Fig. 6's batching isolation: `batching` on the Proteus
+/// allocator, frozen for [`FIG6_QPS`] of EfficientNet with the paper's
+/// tight 1.05 capacity margin (so batching efficiency is what separates
+/// the policies), serving [`FIG6_SECS`] of EfficientNet arrivals at `qps`
+/// whose gaps follow `kind`.
+pub(crate) fn fig6_run(batching: Box<dyn BatchPolicy>, kind: ArrivalKind, qps: f64) -> RunOutcome {
+    let mut config = frozen_config(ModelFamily::EfficientNet, FIG6_QPS);
+    config.demand_headroom = 1.05;
+    let arrivals: Vec<QueryArrival> = ArrivalProcess::new(kind, qps, 77)
+        .take_for_secs(FIG6_SECS)
+        .into_iter()
+        .map(|at| QueryArrival::new(at, ModelFamily::EfficientNet))
+        .collect();
+    run_proteus(config, batching, &arrivals)
 }
 
 /// Runs one contender on a trace with the given config.

@@ -1,51 +1,36 @@
 //! The typed event schema covering the full query lifecycle, worker state
 //! transitions and control-plane decisions.
+//!
+//! Every event kind is declared once, in the schema table at the bottom
+//! of this module: its variant, its wire name, and each field with its
+//! Rust type and wire key. The table generates [`EventKind`],
+//! [`EventKind::name`], and the per-kind encoder and decoder of the
+//! [`json`](crate::json) module. Each label set is declared once too, by
+//! `labels!`.
 
 use proteus_profiler::{DeviceId, DeviceType, ModelFamily, VariantId};
 use proteus_sim::SimTime;
 
-/// Why a query was dropped instead of served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DropReason {
-    /// The target worker's bounded queue was full on enqueue.
-    QueueFull,
-    /// No device hosted (or was planned to host) the query's family.
-    NoHost,
-    /// The query expired in a queue and was shed by the batching policy.
-    Expired,
-    /// Still queued when the run's drain window closed.
-    Drained,
-    /// Its device crashed and the salvage path exhausted the retry budget
-    /// (or found nowhere else to send it).
-    DeviceFailed,
+use crate::json::{labels, Fields, Key, Line, Wire};
+
+labels! {
+    /// Why a query was dropped instead of served.
+    pub enum DropReason {
+        /// The target worker's bounded queue was full on enqueue.
+        QueueFull = "queue_full",
+        /// No device hosted (or was planned to host) the query's family.
+        NoHost = "no_host",
+        /// The query expired in a queue and was shed by the batching policy.
+        Expired = "expired",
+        /// Still queued when the run's drain window closed.
+        Drained = "drained",
+        /// Its device crashed and the salvage path exhausted the retry budget
+        /// (or found nowhere else to send it).
+        DeviceFailed = "device_failed",
+    }
 }
 
 impl DropReason {
-    /// Every reason, in serialization order.
-    pub const ALL: [DropReason; 5] = [
-        DropReason::QueueFull,
-        DropReason::NoHost,
-        DropReason::Expired,
-        DropReason::Drained,
-        DropReason::DeviceFailed,
-    ];
-
-    /// Stable wire label.
-    pub fn label(self) -> &'static str {
-        match self {
-            DropReason::QueueFull => "queue_full",
-            DropReason::NoHost => "no_host",
-            DropReason::Expired => "expired",
-            DropReason::Drained => "drained",
-            DropReason::DeviceFailed => "device_failed",
-        }
-    }
-
-    /// Parses a wire label back into a reason.
-    pub fn parse(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|r| r.label() == label)
-    }
-
     /// Whether the system rejected the query outright (as opposed to the
     /// query dying of old age in a queue). Shed drops blame the admission
     /// decision; expiry drops blame whatever delayed the queue.
@@ -54,109 +39,47 @@ impl DropReason {
     }
 }
 
-/// What prompted the Resource Manager to produce a new plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReplanCause {
-    /// The pre-trace provisioning allocation.
-    Initial,
-    /// The periodic re-allocation timer.
-    Periodic,
-    /// The monitoring daemon detected a demand burst.
-    Burst,
-    /// A critical-path allocator (INFaaS) re-plans every monitoring tick.
-    CriticalPath,
-    /// Elastic devices came online (§7 tandem extension).
-    Provisioned,
-    /// A device crashed (or recovered): the plan must route around the
-    /// changed liveness set immediately.
-    DeviceFailure,
-}
-
-impl ReplanCause {
-    /// Every cause, in serialization order.
-    pub const ALL: [ReplanCause; 6] = [
-        ReplanCause::Initial,
-        ReplanCause::Periodic,
-        ReplanCause::Burst,
-        ReplanCause::CriticalPath,
-        ReplanCause::Provisioned,
-        ReplanCause::DeviceFailure,
-    ];
-
-    /// Stable wire label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ReplanCause::Initial => "initial",
-            ReplanCause::Periodic => "periodic",
-            ReplanCause::Burst => "burst",
-            ReplanCause::CriticalPath => "critical_path",
-            ReplanCause::Provisioned => "provisioned",
-            ReplanCause::DeviceFailure => "device_failure",
-        }
-    }
-
-    /// Parses a wire label back into a cause.
-    pub fn parse(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|c| c.label() == label)
+labels! {
+    /// What prompted the Resource Manager to produce a new plan.
+    pub enum ReplanCause {
+        /// The pre-trace provisioning allocation.
+        Initial = "initial",
+        /// The periodic re-allocation timer.
+        Periodic = "periodic",
+        /// The monitoring daemon detected a demand burst.
+        Burst = "burst",
+        /// A critical-path allocator (INFaaS) re-plans every monitoring tick.
+        CriticalPath = "critical_path",
+        /// Elastic devices came online (§7 tandem extension).
+        Provisioned = "provisioned",
+        /// A device crashed (or recovered): the plan must route around the
+        /// changed liveness set immediately.
+        DeviceFailure = "device_failure",
     }
 }
 
-/// Why an in-flight (asynchronously solving) plan was discarded instead of
-/// committed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DiscardReason {
-    /// The liveness set changed mid-solve (a device crashed or recovered):
-    /// the plan was computed against a cluster that no longer exists and
-    /// must never be applied.
-    Liveness,
-    /// A newer solve superseded this one before its commit event fired.
-    Superseded,
-}
-
-impl DiscardReason {
-    /// Every reason, in serialization order.
-    pub const ALL: [DiscardReason; 2] = [DiscardReason::Liveness, DiscardReason::Superseded];
-
-    /// Stable wire label.
-    pub fn label(self) -> &'static str {
-        match self {
-            DiscardReason::Liveness => "liveness",
-            DiscardReason::Superseded => "superseded",
-        }
-    }
-
-    /// Parses a wire label back into a reason.
-    pub fn parse(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|r| r.label() == label)
+labels! {
+    /// Why an in-flight (asynchronously solving) plan was discarded instead of
+    /// committed.
+    pub enum DiscardReason {
+        /// The liveness set changed mid-solve (a device crashed or recovered):
+        /// the plan was computed against a cluster that no longer exists and
+        /// must never be applied.
+        Liveness = "liveness",
+        /// A newer solve superseded this one before its commit event fired.
+        Superseded = "superseded",
     }
 }
 
-/// Severity tier of an SLO burn-rate alert (Google SRE style: a fast-burn
-/// rule pages, a slow-burn rule opens a ticket).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AlertSeverity {
-    /// Fast burn: the error budget is being consumed quickly enough that a
-    /// human should look immediately.
-    Page,
-    /// Slow burn: sustained budget consumption worth investigating.
-    Ticket,
-}
-
-impl AlertSeverity {
-    /// Every severity, in serialization order.
-    pub const ALL: [AlertSeverity; 2] = [AlertSeverity::Page, AlertSeverity::Ticket];
-
-    /// Stable wire label.
-    pub fn label(self) -> &'static str {
-        match self {
-            AlertSeverity::Page => "page",
-            AlertSeverity::Ticket => "ticket",
-        }
-    }
-
-    /// Parses a wire label back into a severity.
-    pub fn parse(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|s| s.label() == label)
+labels! {
+    /// Severity tier of an SLO burn-rate alert (Google SRE style: a fast-burn
+    /// rule pages, a slow-burn rule opens a ticket).
+    pub enum AlertSeverity {
+        /// Fast burn: the error budget is being consumed quickly enough that a
+        /// human should look immediately.
+        Page = "page",
+        /// Slow burn: sustained budget consumption worth investigating.
+        Ticket = "ticket",
     }
 }
 
@@ -169,292 +92,7 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// Everything the flight recorder can observe.
-///
-/// The schema has three layers, mirroring the system architecture:
-///
-/// * **query lifecycle** — `Arrived` → `Routed` → `Enqueued` →
-///   (`BatchFormed`/`ExecStarted` → `ExecCompleted`) → exactly one terminal
-///   event (`ServedOnTime`, `ServedLate` or `Dropped`);
-/// * **worker state** — `WorkerOnline`, `ModelLoadStarted`/`Finished`;
-/// * **control plane** — `ReplanTriggered` → `SolveStats` → `PlanApplied`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
-    /// A worker joined the cluster (at start-up, or later via elastic
-    /// provisioning).
-    WorkerOnline {
-        /// The worker's device id.
-        device: DeviceId,
-        /// Its hardware type.
-        device_type: DeviceType,
-    },
-    /// A query arrived at the load balancer.
-    Arrived {
-        /// Run-unique query id.
-        query: u64,
-        /// The application (query type) it belongs to.
-        family: ModelFamily,
-    },
-    /// The family's router picked a target worker.
-    Routed {
-        /// The query.
-        query: u64,
-        /// The chosen worker.
-        device: DeviceId,
-    },
-    /// The query entered a worker queue.
-    Enqueued {
-        /// The query.
-        query: u64,
-        /// The worker whose queue it joined.
-        device: DeviceId,
-        /// Queue depth *after* the insert.
-        depth: u32,
-        /// Causal link: the batch executing on the worker at enqueue time,
-        /// if any. The query cannot start before this batch drains, so the
-        /// span layer draws a queued-behind edge to it.
-        behind: Option<u64>,
-    },
-    /// The batching policy formed a batch from the queue head.
-    BatchFormed {
-        /// The executing worker.
-        device: DeviceId,
-        /// Run-unique batch id.
-        batch: u64,
-        /// The member query ids, in queue order.
-        queries: Vec<u64>,
-    },
-    /// Batch execution began (same instant as its `BatchFormed`).
-    ExecStarted {
-        /// The executing worker.
-        device: DeviceId,
-        /// The batch.
-        batch: u64,
-        /// The serving model variant.
-        variant: VariantId,
-        /// Number of member queries.
-        size: u32,
-        /// Predicted completion time.
-        until: SimTime,
-    },
-    /// Batch execution finished.
-    ExecCompleted {
-        /// The executing worker.
-        device: DeviceId,
-        /// The batch.
-        batch: u64,
-    },
-    /// Terminal: the query's response met its SLO.
-    ServedOnTime {
-        /// The query.
-        query: u64,
-        /// End-to-end response latency.
-        latency: SimTime,
-        /// Causal link: the allocation-plan epoch (count of applied plans)
-        /// the query was served under. Lets the span layer tie a response
-        /// to the concrete plan in force at completion time.
-        epoch: u64,
-    },
-    /// Terminal: a response was produced after the deadline.
-    ServedLate {
-        /// The query.
-        query: u64,
-        /// End-to-end response latency.
-        latency: SimTime,
-        /// Causal link: the allocation-plan epoch the query was served
-        /// under (see [`EventKind::ServedOnTime::epoch`]).
-        epoch: u64,
-    },
-    /// Terminal: no response was produced.
-    Dropped {
-        /// The query.
-        query: u64,
-        /// Why it was dropped.
-        reason: DropReason,
-    },
-    /// A model swap (container start + weight load) began.
-    ModelLoadStarted {
-        /// The loading worker.
-        device: DeviceId,
-        /// The variant being loaded (`None` = unloading).
-        variant: Option<VariantId>,
-        /// When the worker will be serviceable again.
-        until: SimTime,
-    },
-    /// The model swap completed and the worker is serviceable.
-    ModelLoadFinished {
-        /// The worker.
-        device: DeviceId,
-    },
-    /// The Resource Manager was invoked.
-    ReplanTriggered {
-        /// What prompted the invocation.
-        cause: ReplanCause,
-    },
-    /// A new plan took effect.
-    PlanApplied {
-        /// Devices whose variant assignment changed.
-        changed: u32,
-        /// Demand shrink factor applied for feasibility (1.0 = none).
-        shrink: f64,
-    },
-    /// Solver statistics of the replan that just completed (only emitted by
-    /// solver-backed allocators).
-    SolveStats {
-        /// Branch-and-bound nodes explored.
-        nodes: u64,
-        /// Simplex pivots across every relaxation.
-        pivots: u64,
-        /// Warm-started node relaxations.
-        warm_starts: u64,
-        /// Wall-clock nanoseconds inside the solver.
-        wall_nanos: u64,
-    },
-    /// The independent plan auditor re-verified the plan that just took
-    /// effect against the paper's constraint system (Eqs. 1–7). Emitted
-    /// under `debug_assertions` or when the run opts in via `--audit`.
-    AuditReport {
-        /// Number of constraint violations found (0 = clean).
-        violations: u32,
-        /// Hosting devices whose assignment was verified.
-        devices_checked: u32,
-        /// Families whose routing/coverage was verified.
-        families_checked: u32,
-    },
-    /// A device crashed: its in-flight batch is lost and its queue enters
-    /// the salvage path.
-    WorkerCrashed {
-        /// The crashed worker.
-        device: DeviceId,
-    },
-    /// A crashed device came back, empty and serviceable.
-    WorkerRecovered {
-        /// The recovered worker.
-        device: DeviceId,
-    },
-    /// A salvaged query was re-routed away from a crashed device.
-    QueryRetried {
-        /// The query.
-        query: u64,
-        /// The device it was salvaged from.
-        from: DeviceId,
-        /// 1-based retry attempt (bounded by the engine's retry budget).
-        attempt: u32,
-    },
-    /// A model load failed and will be retried with capped backoff (or
-    /// abandoned once the attempt budget is spent).
-    LoadFailed {
-        /// The loading worker.
-        device: DeviceId,
-        /// The variant whose load failed (`None` = unload).
-        variant: Option<VariantId>,
-        /// 1-based failed attempt count for this load.
-        attempt: u32,
-    },
-    /// The device entered a straggler window: batches run `slowdown`×
-    /// slower until the matching [`EventKind::StragglerEnded`].
-    StragglerStarted {
-        /// The slowed worker.
-        device: DeviceId,
-        /// Latency multiplier (`>= 1.0`).
-        slowdown: f64,
-    },
-    /// The device's execution latency returned to normal.
-    StragglerEnded {
-        /// The worker.
-        device: DeviceId,
-    },
-    /// The telemetry plane's burn-rate engine fired an SLO alert: the
-    /// error budget is burning faster than the rule's threshold over both
-    /// of its windows.
-    AlertFired {
-        /// The family the alert is scoped to (`None` = cluster-wide).
-        scope: Option<ModelFamily>,
-        /// The firing rule's severity tier.
-        severity: AlertSeverity,
-        /// Burn rate over the short window at firing time (multiples of
-        /// the error budget).
-        burn: f64,
-        /// The rule's long window, in sim seconds.
-        long_secs: f64,
-        /// The rule's short window, in sim seconds.
-        short_secs: f64,
-    },
-    /// A previously fired burn-rate alert dropped back below threshold
-    /// over its short window.
-    AlertResolved {
-        /// The family the alert is scoped to (`None` = cluster-wide).
-        scope: Option<ModelFamily>,
-        /// The resolving rule's severity tier.
-        severity: AlertSeverity,
-        /// Burn rate over the short window at resolution time.
-        burn: f64,
-        /// The rule's long window, in sim seconds.
-        long_secs: f64,
-        /// The rule's short window, in sim seconds.
-        short_secs: f64,
-    },
-    /// An asynchronous solve window opened: the allocator's demand inputs
-    /// were snapshotted at this instant and the resulting plan will commit
-    /// no earlier than `until`. Only emitted under a nonzero solve-latency
-    /// model — with zero control-plane latency plans commit in the same
-    /// instant and the window events are skipped entirely.
-    SolveStarted {
-        /// What prompted the solve.
-        cause: ReplanCause,
-        /// When the solve window closes (the scheduled commit instant).
-        until: SimTime,
-    },
-    /// The solve window closed and its plan was committed. The matching
-    /// `PlanApplied` follows at the same instant.
-    SolveComplete {
-        /// The cause carried from the matching [`EventKind::SolveStarted`].
-        cause: ReplanCause,
-    },
-    /// An in-flight plan was thrown away instead of committed (the
-    /// liveness set changed mid-solve, or a newer solve superseded it).
-    PlanDiscarded {
-        /// The cause carried from the matching [`EventKind::SolveStarted`].
-        cause: ReplanCause,
-        /// Why the plan could not be applied.
-        reason: DiscardReason,
-    },
-}
-
 impl EventKind {
-    /// Stable wire name of the event type.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::WorkerOnline { .. } => "worker_online",
-            EventKind::Arrived { .. } => "arrived",
-            EventKind::Routed { .. } => "routed",
-            EventKind::Enqueued { .. } => "enqueued",
-            EventKind::BatchFormed { .. } => "batch_formed",
-            EventKind::ExecStarted { .. } => "exec_started",
-            EventKind::ExecCompleted { .. } => "exec_completed",
-            EventKind::ServedOnTime { .. } => "served_on_time",
-            EventKind::ServedLate { .. } => "served_late",
-            EventKind::Dropped { .. } => "dropped",
-            EventKind::ModelLoadStarted { .. } => "model_load_started",
-            EventKind::ModelLoadFinished { .. } => "model_load_finished",
-            EventKind::ReplanTriggered { .. } => "replan_triggered",
-            EventKind::PlanApplied { .. } => "plan_applied",
-            EventKind::SolveStats { .. } => "solve_stats",
-            EventKind::AuditReport { .. } => "audit_report",
-            EventKind::WorkerCrashed { .. } => "worker_crashed",
-            EventKind::WorkerRecovered { .. } => "worker_recovered",
-            EventKind::QueryRetried { .. } => "query_retried",
-            EventKind::LoadFailed { .. } => "load_failed",
-            EventKind::StragglerStarted { .. } => "straggler_started",
-            EventKind::StragglerEnded { .. } => "straggler_ended",
-            EventKind::AlertFired { .. } => "alert_fired",
-            EventKind::AlertResolved { .. } => "alert_resolved",
-            EventKind::SolveStarted { .. } => "solve_started",
-            EventKind::SolveComplete { .. } => "solve_complete",
-            EventKind::PlanDiscarded { .. } => "plan_discarded",
-        }
-    }
-
     /// The query this event is directly about, if any (batch membership is
     /// expressed through [`EventKind::BatchFormed::queries`]).
     pub fn query(&self) -> Option<u64> {
@@ -478,6 +116,332 @@ impl EventKind {
                 | EventKind::ServedLate { .. }
                 | EventKind::Dropped { .. }
         )
+    }
+}
+
+/// Declares [`EventKind`] from the schema table below. An entry is a
+/// variant with its wire name, then its fields in wire order, each as
+/// `field: Type => Key`, where `Key` names the wire key in
+/// [`json`](crate::json)'s key list and `Type`'s codec says how the value
+/// is written and read. A field that older traces lack adds `or value`,
+/// the value its absence (or `null`) decodes to.
+macro_rules! events {
+    (
+        $(#[$meta:meta])*
+        pub enum EventKind {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident $wire:literal {
+                    $(
+                        $(#[$fmeta:meta])*
+                        $field:ident: $ty:ty => $key:ident $(or $default:expr)?,
+                    )+
+                },
+            )+
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum EventKind {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    $(
+                        $(#[$fmeta])*
+                        $field: $ty,
+                    )+
+                },
+            )+
+        }
+
+        impl EventKind {
+            /// Stable wire name of the event type.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(EventKind::$variant { .. } => $wire,)+
+                }
+            }
+
+            /// Appends the kind's fields, in table order.
+            pub(crate) fn write_fields(&self, w: &mut Line<'_>) {
+                match self {
+                    $(EventKind::$variant { $($field),+ } => {
+                        $(Wire::write($field, Key::$key, w);)+
+                    })+
+                }
+            }
+
+            /// Builds the kind wire-named `name` from a line's fields.
+            pub(crate) fn read_fields(name: &str, f: &mut Fields<'_>) -> Result<Self, String> {
+                Ok(match name {
+                    $($wire => EventKind::$variant {
+                        $($field: events!(@read f, $key $(, $default)?),)+
+                    },)+
+                    other => return Err(format!("unknown event type `{other}`")),
+                })
+            }
+        }
+    };
+    (@read $f:ident, $key:ident) => {
+        Wire::read($f, Key::$key)?
+    };
+    (@read $f:ident, $key:ident, $default:expr) => {
+        $f.read_or(Key::$key, $default)?
+    };
+}
+
+events! {
+    /// Everything the flight recorder can observe.
+    ///
+    /// The schema has three layers, mirroring the system architecture:
+    ///
+    /// * **query lifecycle** — `Arrived` → `Routed` → `Enqueued` →
+    ///   (`BatchFormed`/`ExecStarted` → `ExecCompleted`) → exactly one terminal
+    ///   event (`ServedOnTime`, `ServedLate` or `Dropped`);
+    /// * **worker state** — `WorkerOnline`, `ModelLoadStarted`/`Finished`;
+    /// * **control plane** — `ReplanTriggered` → `SolveStats` → `PlanApplied`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum EventKind {
+        /// A worker joined the cluster (at start-up, or later via elastic
+        /// provisioning).
+        WorkerOnline "worker_online" {
+            /// The worker's device id.
+            device: DeviceId => D,
+            /// Its hardware type.
+            device_type: DeviceType => Type,
+        },
+        /// A query arrived at the load balancer.
+        Arrived "arrived" {
+            /// Run-unique query id.
+            query: u64 => Q,
+            /// The application (query type) it belongs to.
+            family: ModelFamily => Family,
+        },
+        /// The family's router picked a target worker.
+        Routed "routed" {
+            /// The query.
+            query: u64 => Q,
+            /// The chosen worker.
+            device: DeviceId => D,
+        },
+        /// The query entered a worker queue.
+        Enqueued "enqueued" {
+            /// The query.
+            query: u64 => Q,
+            /// The worker whose queue it joined.
+            device: DeviceId => D,
+            /// Queue depth *after* the insert.
+            depth: u32 => Depth,
+            /// Causal link: the batch executing on the worker at enqueue time,
+            /// if any. The query cannot start before this batch drains, so the
+            /// span layer draws a queued-behind edge to it. Left out of the
+            /// line when `None`.
+            behind: Option<u64> => Behind,
+        },
+        /// The batching policy formed a batch from the queue head.
+        BatchFormed "batch_formed" {
+            /// The executing worker.
+            device: DeviceId => D,
+            /// Run-unique batch id.
+            batch: u64 => Batch,
+            /// The member query ids, in queue order.
+            queries: Vec<u64> => Queries,
+        },
+        /// Batch execution began (same instant as its `BatchFormed`).
+        ExecStarted "exec_started" {
+            /// The executing worker.
+            device: DeviceId => D,
+            /// The batch.
+            batch: u64 => Batch,
+            /// The serving model variant.
+            variant: VariantId => Variant,
+            /// Number of member queries.
+            size: u32 => Size,
+            /// Predicted completion time.
+            until: SimTime => Until,
+        },
+        /// Batch execution finished.
+        ExecCompleted "exec_completed" {
+            /// The executing worker.
+            device: DeviceId => D,
+            /// The batch.
+            batch: u64 => Batch,
+        },
+        /// Terminal: the query's response met its SLO.
+        ServedOnTime "served_on_time" {
+            /// The query.
+            query: u64 => Q,
+            /// End-to-end response latency.
+            latency: SimTime => Latency,
+            /// Causal link: the allocation-plan epoch (count of applied plans)
+            /// the query was served under. Lets the span layer tie a response
+            /// to the concrete plan in force at completion time. Lines written
+            /// before the link existed read as epoch 0.
+            epoch: u64 => Epoch or 0,
+        },
+        /// Terminal: a response was produced after the deadline.
+        ServedLate "served_late" {
+            /// The query.
+            query: u64 => Q,
+            /// End-to-end response latency.
+            latency: SimTime => Latency,
+            /// Causal link: the allocation-plan epoch the query was served
+            /// under (see [`EventKind::ServedOnTime::epoch`]).
+            epoch: u64 => Epoch or 0,
+        },
+        /// Terminal: no response was produced.
+        Dropped "dropped" {
+            /// The query.
+            query: u64 => Q,
+            /// Why it was dropped.
+            reason: DropReason => Reason,
+        },
+        /// A model swap (container start + weight load) began.
+        ModelLoadStarted "model_load_started" {
+            /// The loading worker.
+            device: DeviceId => D,
+            /// The variant being loaded (`None` = unloading).
+            variant: Option<VariantId> => Variant,
+            /// When the worker will be serviceable again.
+            until: SimTime => Until,
+        },
+        /// The model swap completed and the worker is serviceable.
+        ModelLoadFinished "model_load_finished" {
+            /// The worker.
+            device: DeviceId => D,
+        },
+        /// The Resource Manager was invoked.
+        ReplanTriggered "replan_triggered" {
+            /// What prompted the invocation.
+            cause: ReplanCause => Cause,
+        },
+        /// A new plan took effect.
+        PlanApplied "plan_applied" {
+            /// Devices whose variant assignment changed.
+            changed: u32 => Changed,
+            /// Demand shrink factor applied for feasibility (1.0 = none).
+            shrink: f64 => Shrink,
+        },
+        /// Solver statistics of the replan that just completed (only emitted by
+        /// solver-backed allocators).
+        SolveStats "solve_stats" {
+            /// Branch-and-bound nodes explored.
+            nodes: u64 => Nodes,
+            /// Simplex pivots across every relaxation.
+            pivots: u64 => Pivots,
+            /// Warm-started node relaxations.
+            warm_starts: u64 => Warm,
+            /// Wall-clock nanoseconds inside the solver.
+            wall_nanos: u64 => Wall,
+        },
+        /// The independent plan auditor re-verified the plan that just took
+        /// effect against the paper's constraint system (Eqs. 1–7). Emitted
+        /// under `debug_assertions` or when the run opts in via `--audit`.
+        AuditReport "audit_report" {
+            /// Number of constraint violations found (0 = clean).
+            violations: u32 => Violations,
+            /// Hosting devices whose assignment was verified.
+            devices_checked: u32 => Devices,
+            /// Families whose routing/coverage was verified.
+            families_checked: u32 => Families,
+        },
+        /// A device crashed: its in-flight batch is lost and its queue enters
+        /// the salvage path.
+        WorkerCrashed "worker_crashed" {
+            /// The crashed worker.
+            device: DeviceId => D,
+        },
+        /// A crashed device came back, empty and serviceable.
+        WorkerRecovered "worker_recovered" {
+            /// The recovered worker.
+            device: DeviceId => D,
+        },
+        /// A salvaged query was re-routed away from a crashed device.
+        QueryRetried "query_retried" {
+            /// The query.
+            query: u64 => Q,
+            /// The device it was salvaged from.
+            from: DeviceId => From,
+            /// 1-based retry attempt (bounded by the engine's retry budget).
+            attempt: u32 => Attempt,
+        },
+        /// A model load failed and will be retried with capped backoff (or
+        /// abandoned once the attempt budget is spent).
+        LoadFailed "load_failed" {
+            /// The loading worker.
+            device: DeviceId => D,
+            /// The variant whose load failed (`None` = unload).
+            variant: Option<VariantId> => Variant,
+            /// 1-based failed attempt count for this load.
+            attempt: u32 => Attempt,
+        },
+        /// The device entered a straggler window: batches run `slowdown`×
+        /// slower until the matching [`EventKind::StragglerEnded`].
+        StragglerStarted "straggler_started" {
+            /// The slowed worker.
+            device: DeviceId => D,
+            /// Latency multiplier (`>= 1.0`).
+            slowdown: f64 => Slowdown,
+        },
+        /// The device's execution latency returned to normal.
+        StragglerEnded "straggler_ended" {
+            /// The worker.
+            device: DeviceId => D,
+        },
+        /// The telemetry plane's burn-rate engine fired an SLO alert: the
+        /// error budget is burning faster than the rule's threshold over both
+        /// of its windows.
+        AlertFired "alert_fired" {
+            /// The family the alert is scoped to (`None` = cluster-wide).
+            scope: Option<ModelFamily> => Scope,
+            /// The firing rule's severity tier.
+            severity: AlertSeverity => Severity,
+            /// Burn rate over the short window at firing time (multiples of
+            /// the error budget).
+            burn: f64 => Burn,
+            /// The rule's long window, in sim seconds.
+            long_secs: f64 => LongS,
+            /// The rule's short window, in sim seconds.
+            short_secs: f64 => ShortS,
+        },
+        /// A previously fired burn-rate alert dropped back below threshold
+        /// over its short window.
+        AlertResolved "alert_resolved" {
+            /// The family the alert is scoped to (`None` = cluster-wide).
+            scope: Option<ModelFamily> => Scope,
+            /// The resolving rule's severity tier.
+            severity: AlertSeverity => Severity,
+            /// Burn rate over the short window at resolution time.
+            burn: f64 => Burn,
+            /// The rule's long window, in sim seconds.
+            long_secs: f64 => LongS,
+            /// The rule's short window, in sim seconds.
+            short_secs: f64 => ShortS,
+        },
+        /// An asynchronous solve window opened: the allocator's demand inputs
+        /// were snapshotted at this instant and the resulting plan will commit
+        /// no earlier than `until`. Only emitted under a nonzero solve-latency
+        /// model — with zero control-plane latency plans commit in the same
+        /// instant and the window events are skipped entirely.
+        SolveStarted "solve_started" {
+            /// What prompted the solve.
+            cause: ReplanCause => Cause,
+            /// When the solve window closes (the scheduled commit instant).
+            until: SimTime => Until,
+        },
+        /// The solve window closed and its plan was committed. The matching
+        /// `PlanApplied` follows at the same instant.
+        SolveComplete "solve_complete" {
+            /// The cause carried from the matching [`EventKind::SolveStarted`].
+            cause: ReplanCause => Cause,
+        },
+        /// An in-flight plan was thrown away instead of committed (the
+        /// liveness set changed mid-solve, or a newer solve superseded it).
+        PlanDiscarded "plan_discarded" {
+            /// The cause carried from the matching [`EventKind::SolveStarted`].
+            cause: ReplanCause => Cause,
+            /// Why the plan could not be applied.
+            reason: DiscardReason => Reason,
+        },
     }
 }
 

@@ -31,50 +31,25 @@ use proteus_profiler::{DeviceId, ModelFamily, VariantId};
 use proteus_sim::SimTime;
 
 use crate::event::{DropReason, EventKind, TraceEvent};
+use crate::json::labels;
 
-/// One additive critical-path segment class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Segment {
-    /// Pre-placement time: crash salvage and displacement re-enqueues.
-    Retry,
-    /// The worker was busy executing other batches.
-    Queue,
-    /// The worker was loading a model variant.
-    Load,
-    /// The worker was idle inside an open solve window (stale plan).
-    StalePlan,
-    /// The worker was idle with no open solve window.
-    BatchWait,
-    /// The query's own batch was executing.
-    Exec,
-}
-
-impl Segment {
-    /// Every segment, in waterfall order.
-    pub const ALL: [Segment; 6] = [
-        Segment::Retry,
-        Segment::Queue,
-        Segment::Load,
-        Segment::StalePlan,
-        Segment::BatchWait,
-        Segment::Exec,
-    ];
-
-    /// Stable label used in reports, flame stacks and diffs.
-    pub fn label(self) -> &'static str {
-        match self {
-            Segment::Retry => "retry",
-            Segment::Queue => "queue",
-            Segment::Load => "load",
-            Segment::StalePlan => "stale_plan",
-            Segment::BatchWait => "batch_wait",
-            Segment::Exec => "exec",
-        }
-    }
-
-    /// Parses a label back into a segment.
-    pub fn parse(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|s| s.label() == label)
+labels! {
+    /// One additive critical-path segment class, declared in waterfall
+    /// order. Its labels are used in reports, flame stacks and diffs.
+    #[derive(PartialOrd, Ord)]
+    pub enum Segment {
+        /// Pre-placement time: crash salvage and displacement re-enqueues.
+        Retry = "retry",
+        /// The worker was busy executing other batches.
+        Queue = "queue",
+        /// The worker was loading a model variant.
+        Load = "load",
+        /// The worker was idle inside an open solve window (stale plan).
+        StalePlan = "stale_plan",
+        /// The worker was idle with no open solve window.
+        BatchWait = "batch_wait",
+        /// The query's own batch was executing.
+        Exec = "exec",
     }
 }
 

@@ -294,12 +294,15 @@ fn check_terminal_invariant(events: &[TraceEvent]) {
     );
 }
 
-#[test]
-fn bursty_overload_blame_classifies_every_violation() {
-    // A small cluster under the paper's bursty trace: the burst overloads
-    // it, producing drops and late responses of several flavors.
+/// Records a small cluster under the paper's bursty trace, with `faults`
+/// injected: the burst overloads it, so queries violate their SLOs
+/// (without faults, every violation is a drop).
+fn record_bursty_overload(
+    faults: FaultSchedule,
+) -> (Vec<TraceEvent>, proteus_core::system::RunOutcome) {
     let mut config = SystemConfig::paper_testbed();
     config.cluster = Cluster::with_counts(4, 2, 2);
+    config.faults = faults;
     let arrivals = TraceBuilder::new(TraceBuilder::paper_families())
         .seed(7)
         .build(&BurstyTrace {
@@ -316,7 +319,12 @@ fn bursty_overload_blame_classifies_every_violation() {
     );
     let mut sink = MemorySink::new();
     let outcome = system.run_traced(&arrivals, &mut sink);
-    let events = sink.into_events();
+    (sink.into_events(), outcome)
+}
+
+#[test]
+fn bursty_overload_blame_classifies_every_violation() {
+    let (events, outcome) = record_bursty_overload(FaultSchedule::default());
     check_terminal_invariant(&events);
 
     let s = outcome.metrics.summary();
@@ -569,6 +577,45 @@ fn record_chaos_run(seed: u64) -> (Vec<TraceEvent>, proteus_core::system::RunOut
     let mut sink = MemorySink::new();
     let outcome = system.run_traced(&arrivals, &mut sink);
     (sink.into_events(), outcome)
+}
+
+/// The golden and smoke traces hold no late serve, retry or load failure,
+/// so these runs carry those kinds through the JSONL format: each run,
+/// recorded through the streaming sink, parses back to its events. The
+/// chaos runs drop every query they salvage as `device_failed` instead of
+/// retrying it, so a V100 crashing mid-burst supplies the retries.
+#[test]
+fn overload_and_chaos_runs_round_trip_through_jsonl() {
+    let crash = "crash@10:6".parse().expect("a valid fault script");
+    let runs = [
+        (
+            "bursty overload",
+            record_bursty_overload(FaultSchedule::default()).0,
+        ),
+        (
+            "bursty overload, V100 crash",
+            record_bursty_overload(crash).0,
+        ),
+        ("chaos seed 0", record_chaos_run(0).0),
+    ];
+    let mut text = String::new();
+    for (run, events) in &runs {
+        let mut sink = JsonlSink::new(Vec::new());
+        for e in events {
+            sink.record(e);
+        }
+        let bytes = sink.finish().expect("an in-memory sink cannot fail");
+        let doc = String::from_utf8(bytes).expect("the encoder writes UTF-8");
+        assert_eq!(&parse_jsonl(&doc).expect(run), events, "{run}");
+        text.push_str(&doc);
+    }
+    for kind in ["served_late", "query_retried", "load_failed"] {
+        let tag = format!("\"ev\":\"{kind}\"");
+        assert!(
+            text.lines().any(|line| line.contains(&tag)),
+            "no `{kind}` line"
+        );
+    }
 }
 
 #[test]

@@ -3,13 +3,16 @@
 //! Name resolution is deliberately over-approximate: a method call
 //! `.decide(…)` edges to *every* workspace method named `decide` (which is
 //! exactly what dynamic dispatch through `Box<dyn BatchingPolicy>` needs),
-//! and `Type::assoc(…)` prefers fns on an impl of `Type` before falling
-//! back to any fn of that name. Over-approximation makes reachability and
-//! taint conservative — more edges can only create false positives, never
-//! false negatives — and every false positive is suppressible with a
-//! reasoned `lint:allow`.
+//! and `Type::assoc(…)` prefers fns on an impl of `Type`, then the methods
+//! of every `impl Type for …` when `Type` is a trait, then free fns of
+//! that name in a module or crate `Type` (an inline module, or the file
+//! `Type.rs`). Over-approximation makes reachability and taint
+//! conservative — more edges can only create false positives, never false
+//! negatives — and every false positive is suppressible with a reasoned
+//! `lint:allow`.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 
 use crate::parse::{FileAst, FnDef};
 
@@ -35,13 +38,18 @@ impl Graph {
             fns.extend(ast.fns);
         }
 
-        // Indexes: bare name → fns, (self type, name) → fns.
+        // Indexes: bare name → fns, (self type, name) → fns, (trait,
+        // name) → the trait's impl methods.
         let mut by_name: BTreeMap<&str, Vec<FnId>> = BTreeMap::new();
         let mut by_ty_name: BTreeMap<(&str, &str), Vec<FnId>> = BTreeMap::new();
+        let mut by_trait_name: BTreeMap<(&str, &str), Vec<FnId>> = BTreeMap::new();
         for (id, f) in fns.iter().enumerate() {
             by_name.entry(&f.name).or_default().push(id);
             if let Some(ty) = &f.self_ty {
                 by_ty_name.entry((ty, &f.name)).or_default().push(id);
+            }
+            if let Some(tr) = &f.trait_name {
+                by_trait_name.entry((tr, &f.name)).or_default().push(id);
             }
         }
 
@@ -50,6 +58,15 @@ impl Graph {
                 .and_then(|r| r.split('/').next())
                 .unwrap_or("")
                 .to_string()
+        };
+        // The module a file is: its stem, or its directory for `mod.rs`.
+        let file_module = |rel: &str| -> String {
+            let path = Path::new(rel);
+            let module = match path.file_stem().and_then(|s| s.to_str()) {
+                Some("mod") => path.parent().and_then(|d| d.file_name()),
+                _ => path.file_stem(),
+            };
+            module.and_then(|m| m.to_str()).unwrap_or("").to_string()
         };
 
         let mut edges: Vec<Vec<(FnId, usize)>> = vec![Vec::new(); fns.len()];
@@ -87,16 +104,21 @@ impl Graph {
                     };
                     if let Some(own) = by_ty_name.get(&(ty.as_str(), last)) {
                         targets = own.clone();
+                    } else if let Some(impls) = by_trait_name.get(&(ty.as_str(), last)) {
+                        // Trait-qualified `Wire::write(…)`: every impl's.
+                        targets = impls.clone();
                     } else if let Some(named) = by_name.get(last) {
-                        // Module-qualified free fn (`util::helper(…)`).
+                        // Module-qualified free fn (`util::helper(…)`), in
+                        // an inline module, a file module or a crate.
                         targets = named
                             .iter()
                             .copied()
                             .filter(|&id| {
+                                let rel = &rels[fns[id].file];
                                 fns[id].self_ty.is_none()
                                     && (fns[id].module.last() == Some(&ty)
-                                        || crate_of(&rels[fns[id].file]).replace('-', "_")
-                                            == ty.replace('-', "_"))
+                                        || (fns[id].module.is_empty() && file_module(rel) == ty)
+                                        || crate_of(rel).replace('-', "_") == ty.replace('-', "_"))
                             })
                             .collect();
                     }
@@ -266,5 +288,54 @@ mod tests {
         let chain = g.path(outer, extract).unwrap();
         assert_eq!(chain.len(), 3);
         assert_eq!(g.qual_name(chain[2].0), "W::extract");
+    }
+
+    fn callees(g: &Graph, caller: &str) -> Vec<String> {
+        g.edges[id_of(g, caller)]
+            .iter()
+            .map(|&(c, _)| format!("{}:{}", g.rel_of(c), g.qual_name(c)))
+            .collect()
+    }
+
+    #[test]
+    fn trait_qualified_calls_edge_to_every_impl() {
+        let g = graph_of(&[(
+            "crates/a/src/lib.rs",
+            "trait Wire { fn write(&self); }\n\
+             impl Wire for u64 { fn write(&self) {} }\n\
+             impl<T: Text> Wire for T { fn write(&self) {} }\n\
+             impl Line { fn write(&self) {} }\n\
+             fn encode(x: u64) { Wire::write(&x); }\n",
+        )]);
+        assert_eq!(
+            callees(&g, "encode"),
+            [
+                "crates/a/src/lib.rs:u64::write",
+                "crates/a/src/lib.rs:T::write"
+            ]
+        );
+    }
+
+    #[test]
+    fn module_qualified_calls_reach_file_modules() {
+        let g = graph_of(&[
+            (
+                "crates/t/src/json.rs",
+                "pub fn write_jsonl() {}\nmod tests { fn write_jsonl() {} }\n",
+            ),
+            ("crates/t/src/chrome.rs", "pub fn write_jsonl() {}\n"),
+            ("crates/t/src/util/mod.rs", "pub fn helper() {}\n"),
+            (
+                "crates/t/src/sink.rs",
+                "fn record() { json::write_jsonl(); util::helper(); }\n",
+            ),
+        ]);
+        assert_eq!(
+            callees(&g, "record"),
+            [
+                "crates/t/src/json.rs:write_jsonl",
+                "crates/t/src/util/mod.rs:helper"
+            ]
+        );
     }
 }

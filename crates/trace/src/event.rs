@@ -4,14 +4,14 @@
 //! Every event kind is declared once, in the schema table at the bottom
 //! of this module: its variant, its wire name, and each field with its
 //! Rust type and wire key. The table generates [`EventKind`],
-//! [`EventKind::name`], and the per-kind encoder and decoder of the
-//! [`json`](crate::json) module. Each label set is declared once too, by
-//! `labels!`.
+//! [`EventKind::name`], and the per-kind encoder and the per-kind arms of
+//! both readers (positional and keyed) of the [`json`](crate::json)
+//! module. Each label set is declared once too, by `labels!`.
 
 use proteus_profiler::{DeviceId, DeviceType, ModelFamily, VariantId};
 use proteus_sim::SimTime;
 
-use crate::json::{labels, Fields, Key, Line, Wire};
+use crate::json::{labels, Fields, Key, Line, Parser, Wire};
 
 labels! {
     /// Why a query was dropped instead of served.
@@ -124,7 +124,8 @@ impl EventKind {
 /// `field: Type => Key`, where `Key` names the wire key in
 /// [`json`](crate::json)'s key list and `Type`'s codec says how the value
 /// is written and read. A field that older traces lack adds `or value`,
-/// the value its absence (or `null`) decodes to.
+/// the value its absence (or `null`) decodes to; the positional reader
+/// leaves such a line to the keyed scan.
 macro_rules! events {
     (
         $(#[$meta:meta])*
@@ -177,6 +178,18 @@ macro_rules! events {
                         $($field: events!(@read f, $key $(, $default)?),)+
                     },)+
                     other => return Err(format!("unknown event type `{other}`")),
+                })
+            }
+
+            /// Reads the fields of the kind wire-named `name` at the
+            /// cursor, in table order and in exactly the bytes
+            /// `write_fields` writes; `None` at the first other byte.
+            pub(crate) fn take_fields(name: &str, p: &mut Parser<'_>) -> Option<Self> {
+                Some(match name {
+                    $($wire => EventKind::$variant {
+                        $($field: Wire::take(p, Key::$key)?,)+
+                    },)+
+                    _ => return None,
                 })
             }
         }

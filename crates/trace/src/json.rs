@@ -4,12 +4,28 @@
 //! (the kind's wire name), then the kind's fields. Which fields a kind
 //! has, their keys and their order are declared once, in the schema table
 //! of [`event`](crate::event), which generates the per-kind body of
-//! [`write_jsonl`] and the per-kind arm of [`parse_line`]. How a value of
+//! [`write_jsonl`] and both per-kind arms of [`parse_line`]. How a value of
 //! each field type is written and read back is declared once here, by one
 //! codec per wire type. The writer and the parser are developed together
 //! against round-trip tests, so the on-disk format is exactly the dialect
 //! the parser accepts: objects with string, integer, float, null, and
 //! integer-array values.
+//!
+//! The reader has two paths. The positional path expects the encoder's
+//! exact bytes: `{"t":` and the time, `,"ev":` and the name, then each of
+//! the kind's fields as its `,"key":` tag and value in table order, then
+//! `}` and the end of the line; only `behind`, left out when `None`, may
+//! be missing. At the first other byte (whitespace, another key order, an
+//! unknown or repeated key, an escape, a `null` the encoder never writes,
+//! an out-of-range number, a field left to its `or` default, malformed
+//! input) it gives up, and the keyed path reads the line instead: one scan
+//! fills a slot per known key, and the kind's fields are read from their
+//! slots. Both paths read values with the same `Parser` methods and the
+//! same checks, so a line reads the same either way; the tests hold that
+//! on the dialect lists, every pinned line with each key deleted, random
+//! events and their mutations and truncations. [`parse_jsonl`] runs the
+//! positional path straight through the document and cuts a line out only
+//! for the keyed path.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -119,6 +135,11 @@ pub(crate) trait Wire: Sized {
     /// Reads the value under `key`; an absent key is an error unless the
     /// type allows it.
     fn read(f: &mut Fields<'_>, key: Key) -> Result<Self, String>;
+
+    /// Reads `,"key":value` at the cursor, laid out as `write` writes it,
+    /// and the value as `read` reads it; `None` on anything else, which
+    /// sends the line to the keyed scan.
+    fn take(p: &mut Parser<'_>, key: Key) -> Option<Self>;
 }
 
 impl Wire for u64 {
@@ -136,6 +157,11 @@ impl Wire for u64 {
             )),
         }
     }
+
+    fn take(p: &mut Parser<'_>, key: Key) -> Option<Self> {
+        p.eat(key.tag())?;
+        p.uint()
+    }
 }
 
 /// A larger integer is an error, never truncated.
@@ -148,6 +174,10 @@ impl Wire for u32 {
         let n = u64::read(f, key)?;
         u32::try_from(n).map_err(|_| format!("field `{}` is out of range: {n}", key.name()))
     }
+
+    fn take(p: &mut Parser<'_>, key: Key) -> Option<Self> {
+        u32::try_from(u64::take(p, key)?).ok()
+    }
 }
 
 impl Wire for DeviceId {
@@ -157,6 +187,10 @@ impl Wire for DeviceId {
 
     fn read(f: &mut Fields<'_>, key: Key) -> Result<Self, String> {
         u32::read(f, key).map(DeviceId)
+    }
+
+    fn take(p: &mut Parser<'_>, key: Key) -> Option<Self> {
+        u32::take(p, key).map(DeviceId)
     }
 }
 
@@ -168,6 +202,10 @@ impl Wire for SimTime {
 
     fn read(f: &mut Fields<'_>, key: Key) -> Result<Self, String> {
         u64::read(f, key).map(SimTime::from_nanos)
+    }
+
+    fn take(p: &mut Parser<'_>, key: Key) -> Option<Self> {
+        u64::take(p, key).map(SimTime::from_nanos)
     }
 }
 
@@ -185,10 +223,20 @@ impl Wire for f64 {
             other => Err(format!("field `{}` is not a number: {other:?}", key.name())),
         }
     }
+
+    fn take(p: &mut Parser<'_>, key: Key) -> Option<Self> {
+        p.eat(key.tag())?;
+        match p.number().ok()? {
+            Val::Float(x) => Some(x),
+            Val::Int(n) => Some(n as f64),
+            _ => None,
+        }
+    }
 }
 
 /// Left out when `None`; absent or `null` reads as `None`, so traces
-/// written before such a field existed still parse.
+/// written before such a field existed still parse. The one field whose
+/// tag the positional reader may find missing.
 impl Wire for Option<u64> {
     fn write(&self, key: Key, w: &mut Line<'_>) {
         if let Some(n) = self {
@@ -200,6 +248,13 @@ impl Wire for Option<u64> {
         match f.slot(key) {
             None | Some(Val::Null) => Ok(None),
             Some(_) => u64::read(f, key).map(Some),
+        }
+    }
+
+    fn take(p: &mut Parser<'_>, key: Key) -> Option<Self> {
+        match p.eat(key.tag()) {
+            Some(()) => p.uint().map(Some),
+            None => Some(None),
         }
     }
 }
@@ -223,6 +278,24 @@ impl Wire for Vec<u64> {
             Val::Arr => Ok(std::mem::take(&mut f.queries)),
             other => Err(format!("`{}` is not an array: {other:?}", key.name())),
         }
+    }
+
+    /// Without the whitespace the keyed scan allows, so the positional
+    /// reader never reads past a newline.
+    fn take(p: &mut Parser<'_>, key: Key) -> Option<Self> {
+        p.eat(key.tag())?;
+        p.eat(b"[")?;
+        let mut items = Vec::new();
+        if p.eat(b"]").is_none() {
+            loop {
+                items.push(p.uint()?);
+                if p.eat(b",").is_none() {
+                    break;
+                }
+            }
+            p.eat(b"]")?;
+        }
+        Some(items)
     }
 }
 
@@ -248,6 +321,11 @@ impl<T: Text> Wire for T {
     fn read(f: &mut Fields<'_>, key: Key) -> Result<Self, String> {
         T::parse_text(&f.str(key)?)
     }
+
+    fn take(p: &mut Parser<'_>, key: Key) -> Option<Self> {
+        p.eat(key.tag())?;
+        p.text()
+    }
 }
 
 impl<T: Text> Wire for Option<T> {
@@ -269,6 +347,15 @@ impl<T: Text> Wire for Option<T> {
                 "`{}` is not a string or null: {other:?}",
                 key.name()
             )),
+        }
+    }
+
+    fn take(p: &mut Parser<'_>, key: Key) -> Option<Self> {
+        p.eat(key.tag())?;
+        if p.eat(b"null").is_some() {
+            Some(None)
+        } else {
+            p.text().map(Some)
         }
     }
 }
@@ -533,6 +620,21 @@ impl<'a> Fields<'a> {
 ///
 /// Returns a [`ParseEventError`] (with `line` 0) on malformed input.
 pub fn parse_line(text: &str) -> Result<TraceEvent, ParseEventError> {
+    parse_positional(text).map_or_else(|| parse_keyed(text), Ok)
+}
+
+/// The positional path of [`parse_line`]: the line must be exactly one
+/// object in the encoder's bytes (see [`Parser::event`]).
+pub(crate) fn parse_positional(text: &str) -> Option<TraceEvent> {
+    let mut p = Parser { src: text, pos: 0 };
+    let event = p.event()?;
+    (p.pos == text.len()).then_some(event)
+}
+
+/// The keyed path of [`parse_line`], for any line of the accepted
+/// dialect: one scan fills a slot per known key, then the kind's fields
+/// are read from their slots.
+pub(crate) fn parse_keyed(text: &str) -> Result<TraceEvent, ParseEventError> {
     let mut fields = Fields::new();
     fields
         .scan(text)
@@ -559,12 +661,29 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, ParseEventError> {
         .map(|chunk| usize::from(chunk.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'))))
         .sum();
     let mut events = Vec::with_capacity(lines + 1);
-    for (idx, line) in text.lines().enumerate() {
+    // The positional path reads straight through the document, so a line
+    // it accepts is neither cut out nor trimmed first.
+    let mut p = Parser { src: text, pos: 0 };
+    let mut idx = 0;
+    while p.pos < text.len() {
+        idx += 1;
+        let start = p.pos;
+        if let Some(event) = p.event() {
+            if p.eat(b"\n").is_some() || p.pos == text.len() {
+                events.push(event);
+                continue;
+            }
+        }
+        // Any other line goes to the keyed scan, cut as `str::lines` cuts
+        // it.
+        let rest = text.get(start..).unwrap_or_default();
+        p.pos = start + rest.find('\n').map_or(rest.len(), |n| n + 1);
+        let line = rest.lines().next().unwrap_or_default();
         if line.trim().is_empty() {
             continue;
         }
-        let event = parse_line(line).map_err(|mut e| {
-            e.line = idx + 1;
+        let event = parse_keyed(line).map_err(|mut e| {
+            e.line = idx;
             e
         })?;
         events.push(event);
@@ -572,13 +691,62 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, ParseEventError> {
     Ok(events)
 }
 
-struct Parser<'a> {
-    /// The line being parsed; `pos` is a byte offset into it.
+/// A cursor shared by the keyed scan and the positional reader, so both
+/// read every value with the same code.
+pub(crate) struct Parser<'a> {
+    /// The line being parsed (or, for the positional reader of
+    /// [`parse_jsonl`], the whole document); `pos` is a byte offset into
+    /// it.
     src: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// Steps past `bytes` if the cursor is at them.
+    fn eat(&mut self, bytes: &[u8]) -> Option<()> {
+        let rest = self.src.as_bytes().get(self.pos..)?;
+        rest.starts_with(bytes).then(|| self.pos += bytes.len())
+    }
+
+    /// An integer that fits a `u64`, as the keyed scan reads one.
+    fn uint(&mut self) -> Option<u64> {
+        match self.number().ok()? {
+            Val::Int(n) => Some(n),
+            _ => None,
+        }
+    }
+
+    /// A string free of escapes and newlines, parsed by its [`Text`]
+    /// codec.
+    fn text<T: Text>(&mut self) -> Option<T> {
+        match self.string().ok()? {
+            (raw, false) if !raw.contains('\n') => T::parse_text(raw).ok(),
+            _ => None,
+        }
+    }
+
+    /// Reads one event at the cursor in exactly the bytes [`write_jsonl`]
+    /// writes: `{"t":`, the time, `,"ev":` and the quoted name, then each
+    /// of the kind's fields as its tag and value in table order, then `}`.
+    /// `None` at the first other byte, for the caller to fall back to
+    /// [`parse_keyed`]. An event this reads, the keyed scan reads to the
+    /// same value: both read values with the same methods and checks.
+    /// It never reads past a newline.
+    fn event(&mut self) -> Option<TraceEvent> {
+        // The encoder opens the object with `{` in place of the first
+        // tag's comma.
+        self.eat(b"{")?;
+        self.eat(Key::T.tag().strip_prefix(b",")?)?;
+        let at = SimTime::from_nanos(self.uint()?);
+        self.eat(Key::Ev.tag())?;
+        let (name, false) = self.string().ok()? else {
+            return None;
+        };
+        let kind = EventKind::take_fields(name, self)?;
+        self.eat(b"}")?;
+        Some(TraceEvent { at, kind })
+    }
+
     fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
@@ -1849,5 +2017,187 @@ mod tests {
         };
         let back = parse_line(&to_jsonl(&event)).unwrap();
         assert_eq!(back.at.as_nanos(), nanos);
+    }
+
+    /// `parse_jsonl` as it was before the positional path: every line cut
+    /// by `str::lines`, blank ones skipped, the rest read by the keyed scan.
+    fn parse_jsonl_keyed(text: &str) -> Result<Vec<TraceEvent>, ParseEventError> {
+        text.lines()
+            .enumerate()
+            .filter(|(_, line)| !line.trim().is_empty())
+            .map(|(idx, line)| {
+                parse_keyed(line).map_err(|mut e| {
+                    e.line = idx + 1;
+                    e
+                })
+            })
+            .collect()
+    }
+
+    /// Positional-first parsing reads `text` exactly as the keyed scan
+    /// alone does, as a line and inside documents: the same events, or an
+    /// error with the same reason and line.
+    fn assert_paths_agree(text: &str) {
+        assert_eq!(parse_line(text), parse_keyed(text), "{text:?}");
+        let good = to_jsonl(&all_kinds()[0]);
+        for doc in [
+            text.to_string(),
+            format!("{good}\n{text}\n{good}"),
+            format!("{text}\n{text}\n"),
+        ] {
+            assert_eq!(parse_jsonl(&doc), parse_jsonl_keyed(&doc), "{doc:?}");
+        }
+    }
+
+    /// The members of a pinned line's object, split at commas outside
+    /// arrays.
+    fn members(line: &str) -> Vec<&str> {
+        let body = &line[1..line.len() - 1];
+        let mut members = Vec::new();
+        let (mut depth, mut start) = (0, 0);
+        for (i, b) in body.bytes().enumerate() {
+            match b {
+                b'[' => depth += 1,
+                b']' => depth -= 1,
+                b',' if depth == 0 => {
+                    members.push(&body[start..i]);
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        members.push(&body[start..]);
+        members
+    }
+
+    #[test]
+    fn paths_agree_on_the_dialect_lists() {
+        for (line, want) in DIALECT_ACCEPTED {
+            assert_paths_agree(line);
+            assert_paths_agree(want);
+        }
+        for line in DIALECT_REJECTED {
+            assert_paths_agree(line);
+        }
+    }
+
+    #[test]
+    fn paths_agree_on_pinned_lines_and_their_deleted_keys() {
+        for line in PINNED_LINES.lines() {
+            assert_paths_agree(line);
+            let members = members(line);
+            for skip in 0..members.len() {
+                let kept: Vec<&str> = (0..members.len())
+                    .filter(|&i| i != skip)
+                    .map(|i| members[i])
+                    .collect();
+                assert_paths_agree(&format!("{{{}}}", kept.join(",")));
+            }
+        }
+    }
+
+    #[test]
+    fn documents_are_cut_into_lines_as_str_lines_cuts_them() {
+        let good = to_jsonl(&all_kinds()[1]);
+        let split_array =
+            "{\"t\":1,\"ev\":\"batch_formed\",\"d\":0,\"batch\":1,\"queries\":[1,\n2]}";
+        for doc in [
+            format!("{good}\r\n{good}\r\n"),
+            format!("{good}\r"),
+            format!("\n \t\n{good}\n\r\n\n"),
+            format!("{good}\n{good}"),
+            format!("{good}{good}\n"),
+            format!("{good} \n"),
+            format!("{good}\n{split_array}\n"),
+            format!("{good}\n{{\"t\":1,\"ev\":\"arrived\",\"q\":1,\"family\":\"Res\nNet\"}}"),
+        ] {
+            assert_eq!(parse_jsonl(&doc), parse_jsonl_keyed(&doc), "{doc:?}");
+        }
+        let err = parse_jsonl(&format!("{good}\n\n{split_array}")).unwrap_err();
+        assert_eq!(err.line, 3);
+    }
+
+    /// The encoder's own lines take the positional path, never the
+    /// fallback: every pinned line, and every line of the committed golden
+    /// and smoke traces, is read positionally and re-encodes byte for byte.
+    /// Without this, an encoder change could send lines to the keyed scan
+    /// with no other test failing.
+    #[test]
+    fn encoder_lines_take_the_positional_path() {
+        let golden = include_str!("../../core/tests/golden/tiny_trace.jsonl");
+        let smoke = include_str!("../../../baselines/smoke_trace.jsonl");
+        let mut kinds = std::collections::BTreeSet::new();
+        for line in PINNED_LINES
+            .lines()
+            .chain(golden.lines())
+            .chain(smoke.lines())
+        {
+            let event = parse_positional(line).unwrap_or_else(|| panic!("fell back: {line}"));
+            assert_eq!(to_jsonl(&event), line);
+            kinds.insert(event.kind.name());
+        }
+        assert_eq!(kinds.len(), usize::from(KINDS), "every kind is read");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn random_events_take_the_positional_path(
+            kind in 0..KINDS,
+            at in wide(),
+            ids in prop::collection::vec(wide(), 8),
+            floats in prop::collection::vec(finite(), 3),
+            queries in prop::collection::vec(wide(), 0..65),
+            pick in 0u64..u64::MAX,
+        ) {
+            let event = random_event(kind, at, &ids, &floats, queries, pick);
+            let line = to_jsonl(&event);
+            prop_assert_eq!(parse_positional(&line), Some(event));
+            assert_paths_agree(&line);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn paths_agree_on_arbitrary_bytes(
+            bytes in prop::collection::vec(hostile_byte(), 0..160),
+        ) {
+            assert_paths_agree(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn paths_agree_on_single_byte_mutations(
+            kind in 0..KINDS,
+            ids in prop::collection::vec(wide(), 8),
+            floats in prop::collection::vec(finite(), 3),
+            queries in prop::collection::vec(wide(), 0..9),
+            pick in 0u64..u64::MAX,
+            at in 0usize..usize::MAX,
+            byte in hostile_byte(),
+        ) {
+            let event = random_event(kind, ids[0], &ids, &floats, queries, pick);
+            let mut line = to_jsonl(&event).into_bytes();
+            let at = at % line.len();
+            line[at] = byte;
+            assert_paths_agree(&String::from_utf8_lossy(&line));
+        }
+
+        #[test]
+        fn paths_agree_on_truncations(
+            kind in 0..KINDS,
+            ids in prop::collection::vec(wide(), 8),
+            floats in prop::collection::vec(finite(), 3),
+            queries in prop::collection::vec(wide(), 0..9),
+            pick in 0u64..u64::MAX,
+        ) {
+            let event = random_event(kind, ids[0], &ids, &floats, queries, pick);
+            let line = to_jsonl(&event).into_bytes();
+            for cut in 0..line.len() {
+                assert_paths_agree(&String::from_utf8_lossy(&line[..cut]));
+            }
+        }
     }
 }

@@ -90,14 +90,20 @@ pub struct SwapCost {
     pub period_secs: f64,
 }
 
+impl SwapCost {
+    /// The paper testbed's load model, which
+    /// [`SystemConfig::paper_testbed`](crate::system::SystemConfig::paper_testbed)
+    /// reads too: 0.5 s per load plus 0.5 s per GiB, replanned every 30 s.
+    pub const PAPER_TESTBED: SwapCost = SwapCost {
+        load_base_secs: 0.5,
+        load_secs_per_gib: 0.5,
+        period_secs: 30.0,
+    };
+}
+
 impl Default for SwapCost {
     fn default() -> Self {
-        // Matches `SystemConfig::paper_testbed()`.
-        Self {
-            load_base_secs: 0.5,
-            load_secs_per_gib: 0.5,
-            period_secs: 30.0,
-        }
+        Self::PAPER_TESTBED
     }
 }
 

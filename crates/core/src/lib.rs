@@ -70,7 +70,6 @@ pub mod query;
 pub mod router;
 pub mod schedulers;
 pub mod system;
-pub mod worker;
 
 pub use allocation::AllocationPlan;
 pub use batching::{BatchContext, BatchDecision, BatchPolicy};

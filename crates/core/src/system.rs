@@ -21,7 +21,7 @@
 //! cluster (§6.2 reports <1 % divergence; the `sim_vs_cluster` experiment
 //! reproduces that comparison).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use proteus_metrics::MetricsCollector;
 use proteus_profiler::{
@@ -44,14 +44,14 @@ use proteus_workloads::QueryArrival;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::allocation::milp::SwapCost;
 use crate::allocation::AllocationPlan;
-use crate::batching::{BatchDecision, BatchPolicy};
+use crate::batching::{BatchContext, BatchDecision, BatchPolicy};
 use crate::control::{ControlPlane, PendingSolve, Step, MONITOR_PERIOD};
 // Re-exported so the solve-latency mode stays configurable from here.
 pub use crate::control::SolveLatency;
 use crate::router::Router;
 use crate::schedulers::Allocator;
-use crate::worker::{Worker, WorkerState};
 use crate::{FamilyMap, Query, QueryId};
 
 /// Configuration of a serving run.
@@ -146,17 +146,18 @@ impl Default for ElasticScaling {
 
 impl SystemConfig {
     /// The paper's evaluation setup: 20 CPU + 10 GTX 1080 Ti + 10 V100
-    /// workers, the full Table 3 zoo, 2× SLOs, 30 s re-allocation.
+    /// workers, the full Table 3 zoo, 2× SLOs, and the load delays and 30 s
+    /// re-allocation of [`SwapCost::PAPER_TESTBED`].
     pub fn paper_testbed() -> Self {
         Self {
             cluster: Cluster::paper_testbed(),
             zoo: ModelZoo::paper_table3(),
             slo: SloPolicy::default(),
-            realloc_period_secs: 30.0,
+            realloc_period_secs: SwapCost::PAPER_TESTBED.period_secs,
             burst_threshold: 1.15,
             demand_headroom: 1.15,
-            load_base_secs: 0.5,
-            load_secs_per_gib: 0.5,
+            load_base_secs: SwapCost::PAPER_TESTBED.load_base_secs,
+            load_secs_per_gib: SwapCost::PAPER_TESTBED.load_secs_per_gib,
             latency_noise_cv: 0.0,
             startup_noise_secs: 0.0,
             seed: 0,
@@ -505,11 +506,9 @@ impl ServingSystem {
         sim.run(&mut engine);
 
         // Account anything still queued (nothing should be, since every
-        // policy eventually executes or drops, but stay safe), and close
-        // every still-open online window.
+        // policy eventually executes or drops, but stay safe).
         for d in 0..engine.devices.len() {
             engine.drop_queue(d, horizon, DropReason::Drained);
-            engine.devices[d].close_online(horizon);
         }
 
         // End-of-run DES invariants (checked whenever auditing is on):
@@ -528,6 +527,11 @@ impl ServingSystem {
         }
 
         let telemetry = engine.obs.finish(horizon, &engine.devices);
+        // Close the still-open online windows only after the telemetry
+        // plane's last page, which must read those devices as up.
+        for dev in &mut engine.devices {
+            dev.close_online(horizon);
+        }
         engine.obs.trace.flush();
         let control = engine.control;
         // The log holds one record per committed plan, the initial one
@@ -602,11 +606,28 @@ pub fn mean_demand(arrivals: &[QueryArrival]) -> FamilyMap<f64> {
     counts.scaled(1.0 / secs)
 }
 
-/// One worker device and everything the engine tracks about it. The
-/// engine keeps one record per device, indexed by device id; the §7
-/// tandem extension appends a record for every provisioned device.
+/// Executor state of a device; liveness is orthogonal to it (see
+/// [`Device::online_since`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WorkerState {
+    /// Free to start a batch.
+    Idle,
+    /// Executing a batch.
+    Busy,
+    /// Swapping models (container start + weight load).
+    Loading,
+}
+
+/// One worker device and everything the engine tracks about it (§3: a
+/// device with a FIFO queue and a batching policy, driven by the
+/// controller's plans). The engine keeps one record per device, indexed
+/// by device id; the §7 tandem extension appends a record for every
+/// provisioned device.
 struct Device<'a> {
-    worker: Worker,
+    device_type: DeviceType,
+    /// The targeted variant (may still be loading); changed only by
+    /// [`set_variant`](Self::set_variant).
+    variant: Option<VariantId>,
     /// Profile of the loaded variant, refreshed whenever the variant
     /// changes — the batching path reads this instead of hashing
     /// `(variant, device type)` into the store on every decision.
@@ -615,30 +636,71 @@ struct Device<'a> {
     /// alongside [`profile`](Self::profile) — see
     /// [`BatchContext::lat_table`](crate::batching::BatchContext::lat_table).
     lat_table: Vec<SimTime>,
+    /// FIFO query queue, bounded by [`QUEUE_CAP`]: a full queue rejects
+    /// new queries, which the engine records as drops.
+    queue: VecDeque<Query>,
+    state: WorkerState,
+    policy: Box<dyn BatchPolicy>,
+    /// Pending batching timer, if any.
+    timer: Option<EventKey>,
+    /// Model-load delay to apply once the in-flight batch finishes.
+    pending_load: Option<SimTime>,
+    /// Generation counter for load-completion events: a completion whose
+    /// generation is not current was superseded by a newer plan or a crash.
+    load_generation: u64,
     /// Execution statistics, reported as [`RunOutcome::device_stats`].
     stats: DeviceStats,
     /// Shadow of the executing batch (crash salvage).
     inflight: Option<InFlight>,
     /// Straggler latency multiplier (1.0 = nominal).
     slowdown: f64,
-    /// When the device last came online; `None` while it is down.
-    /// Accumulated into [`DeviceStats::online`] on crash and at end of run.
+    /// When the device last came online; `None` while it is down. This is
+    /// the device's liveness: a down device accepts no queries, executes
+    /// nothing and is masked out of planning until it recovers. Accumulated
+    /// into [`DeviceStats::online`] on crash and at end of run.
     online_since: Option<SimTime>,
     /// Consecutive failed load attempts.
     load_attempts: u32,
-    /// Staged variant: the worker keeps serving its current variant while
+    /// Staged variant: the device keeps serving its current variant while
     /// this one "loads in the background"; swapped in by
     /// [`Event::StagedLoadDone`].
     staged_target: Option<VariantId>,
 }
 
 impl<'a> Device<'a> {
-    /// Retargets the worker and refreshes its cached profile — the only
-    /// place a worker's variant may change, so the cache can never go
+    /// An idle device, online since `now`, hosting no model.
+    fn new(device_type: DeviceType, policy: Box<dyn BatchPolicy>, now: SimTime) -> Self {
+        Self {
+            device_type,
+            variant: None,
+            profile: None,
+            lat_table: Vec::new(),
+            queue: VecDeque::new(),
+            state: WorkerState::Idle,
+            policy,
+            timer: None,
+            pending_load: None,
+            load_generation: 0,
+            stats: DeviceStats::default(),
+            inflight: None,
+            slowdown: 1.0,
+            online_since: Some(now),
+            load_attempts: 0,
+            staged_target: None,
+        }
+    }
+
+    /// Whether the device is alive.
+    fn is_online(&self) -> bool {
+        self.online_since.is_some()
+    }
+
+    /// Retargets the device and refreshes its cached profile — the only
+    /// place a device's variant may change, so the cache can never go
     /// stale.
     fn set_variant(&mut self, variant: Option<VariantId>, store: &'a ProfileStore) {
-        self.worker.set_variant(variant);
-        self.profile = variant.and_then(|v| store.profile(v, self.worker.spec().device_type));
+        self.variant = variant;
+        self.profile = variant.and_then(|v| store.profile(v, self.device_type));
         // Tabulate batch latencies at every integral cost the policy can
         // ask about: sums up to max_batch queries plus one estimated next
         // arrival. Entry k is bit-identical to the arithmetic path's answer
@@ -651,7 +713,34 @@ impl<'a> Device<'a> {
         };
     }
 
-    /// Closes the open online window, if any, at `now`.
+    /// Enqueues a query; a full queue hands it back so the caller can
+    /// account the drop.
+    fn enqueue(&mut self, query: Query) -> Result<(), Query> {
+        if self.queue.len() >= QUEUE_CAP {
+            return Err(query);
+        }
+        self.queue.push_back(query);
+        Ok(())
+    }
+
+    /// Moves the first `n` queued queries into `out` (cleared first),
+    /// reusing its capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` queries are queued.
+    fn take_front_into(&mut self, n: usize, out: &mut Vec<Query>) {
+        assert!(
+            n <= self.queue.len(),
+            "cannot take {n} of {}",
+            self.queue.len()
+        );
+        out.clear();
+        out.extend(self.queue.drain(..n));
+    }
+
+    /// Closes the open online window, if any, at `now`: the device is down
+    /// from here on.
     fn close_online(&mut self, now: SimTime) {
         if let Some(since) = self.online_since.take() {
             self.stats.online += now.saturating_sub(since);
@@ -662,8 +751,8 @@ impl<'a> Device<'a> {
     /// counters; the registry differences them per window).
     fn sample(&self) -> DeviceSample {
         DeviceSample {
-            queue_depth: self.worker.queue_len() as u32,
-            up: self.worker.is_up(),
+            queue_depth: self.queue.len() as u32,
+            up: self.is_online(),
             busy: self.stats.busy,
             batches: self.stats.batches,
             queries: self.stats.queries,
@@ -901,17 +990,8 @@ impl Engine<'_> {
     /// every provisioned device are built here.
     fn add_device(&mut self, spec: DeviceSpec, now: SimTime) {
         let policy = self.batching_proto.clone_box();
-        self.devices.push(Device {
-            worker: Worker::new(spec, policy, QUEUE_CAP),
-            profile: None,
-            lat_table: Vec::new(),
-            stats: DeviceStats::default(),
-            inflight: None,
-            slowdown: 1.0,
-            online_since: Some(now),
-            load_attempts: 0,
-            staged_target: None,
-        });
+        self.devices
+            .push(Device::new(spec.device_type, policy, now));
         self.obs.emit(now, || EventKind::WorkerOnline {
             device: spec.id,
             device_type: spec.device_type,
@@ -920,7 +1000,7 @@ impl Engine<'_> {
 
     /// Drains `device`'s queue, dropping every query for `reason`.
     fn drop_queue(&mut self, device: usize, now: SimTime, reason: DropReason) {
-        for q in self.devices[device].worker.drain_queue() {
+        for q in self.devices[device].queue.drain(..) {
             self.obs.dropped(now, &q, reason);
         }
     }
@@ -934,7 +1014,7 @@ impl Engine<'_> {
                 .variant(v)
                 .map_or(f64::INFINITY, |s| s.memory_mib())
         };
-        mem(old) + mem(new) <= self.devices[device].worker.spec().device_type.memory_mib()
+        mem(old) + mem(new) <= self.devices[device].device_type.memory_mib()
     }
 
     fn load_delay(&mut self, variant: Option<VariantId>) -> SimTime {
@@ -967,7 +1047,7 @@ impl Engine<'_> {
     }
 
     fn cancel_timer(&mut self, device: usize, sim: &mut Simulation<Event>) {
-        if let Some(key) = self.devices[device].worker.timer.take() {
+        if let Some(key) = self.devices[device].timer.take() {
             sim.cancel(key);
         }
     }
@@ -985,10 +1065,10 @@ impl Engine<'_> {
             let dev = &self.devices[device];
             // A down device executes nothing; its queue was salvaged at
             // crash time and stays empty until recovery.
-            if !dev.worker.is_up() || !dev.worker.is_idle() {
+            if !dev.is_online() || dev.state != WorkerState::Idle {
                 return;
             }
-            if dev.worker.queue_len() == 0 {
+            if dev.queue.is_empty() {
                 self.cancel_timer(device, sim);
                 return;
             }
@@ -997,7 +1077,7 @@ impl Engine<'_> {
             // pair, so only a device hosting no model misses here; a miss
             // with a hosted variant would be a construction bug and takes
             // the same typed drop path instead of panicking.
-            let (Some(variant), Some(profile)) = (dev.worker.variant(), dev.profile) else {
+            let (Some(variant), Some(profile)) = (dev.variant, dev.profile) else {
                 // No model hosted: nothing can serve these queries here.
                 self.cancel_timer(device, sim);
                 self.drop_queue(device, now, DropReason::NoHost);
@@ -1005,7 +1085,13 @@ impl Engine<'_> {
             };
             let decide_t0 = self.obs.phase_start(Phase::BatchDecide);
             let dev = &mut self.devices[device];
-            let decision = dev.worker.decide(now, profile, &dev.lat_table);
+            let ctx = BatchContext {
+                now,
+                queue: dev.queue.make_contiguous(),
+                profile,
+                lat_table: &dev.lat_table,
+            };
+            let decision = dev.policy.decide(&ctx);
             self.obs.phase_end(Phase::BatchDecide, decide_t0);
             match decision {
                 BatchDecision::Idle => {
@@ -1016,7 +1102,7 @@ impl Engine<'_> {
                     // Reuse one scratch buffer for the whole run instead of
                     // allocating a fresh Vec per expiry sweep.
                     let mut scratch = std::mem::take(&mut self.scratch);
-                    self.devices[device].worker.take_front_into(n, &mut scratch);
+                    self.devices[device].take_front_into(n, &mut scratch);
                     for q in scratch.drain(..) {
                         self.obs.dropped(now, &q, DropReason::Expired);
                     }
@@ -1025,8 +1111,8 @@ impl Engine<'_> {
                 BatchDecision::Execute(k) => {
                     let mut batch = self.take_buffer();
                     let dev = &mut self.devices[device];
-                    let k = k.max(1).min(dev.worker.queue_len() as u32);
-                    dev.worker.take_front_into(k as usize, &mut batch);
+                    let k = k.max(1).min(dev.queue.len() as u32);
+                    dev.take_front_into(k as usize, &mut batch);
                     let total_cost: f64 = batch.iter().map(|q| q.cost).sum();
                     // A straggler window stretches execution latency.
                     let nominal = profile.latency_for_cost(total_cost) * dev.slowdown;
@@ -1050,9 +1136,7 @@ impl Engine<'_> {
                         size: batch.len() as u32,
                         until,
                     });
-                    self.devices[device]
-                        .worker
-                        .set_state(WorkerState::Busy(until));
+                    self.devices[device].state = WorkerState::Busy;
                     self.cancel_timer(device, sim);
                     let key = sim.schedule(
                         until,
@@ -1076,7 +1160,7 @@ impl Engine<'_> {
                     // Guard against a policy returning a non-future time.
                     let t = t.max(now + SimTime::from_nanos(1));
                     self.cancel_timer(device, sim);
-                    self.devices[device].worker.timer =
+                    self.devices[device].timer =
                         Some(sim.schedule(t, Event::WorkerTimer(device as u32)));
                     return;
                 }
@@ -1103,20 +1187,20 @@ impl Engine<'_> {
         delay: SimTime,
         sim: &mut Simulation<Event>,
     ) {
-        if !self.devices[device].worker.is_up() {
+        if !self.devices[device].is_online() {
             return;
         }
         self.cancel_timer(device, sim);
-        let worker = &mut self.devices[device].worker;
+        let dev = &mut self.devices[device];
         if delay == SimTime::ZERO {
-            worker.set_state(WorkerState::Idle);
+            dev.state = WorkerState::Idle;
             self.poke(device, now, sim);
             return;
         }
-        let variant = worker.variant();
-        worker.load_generation += 1;
-        let generation = worker.load_generation;
-        worker.set_state(WorkerState::Loading(now + delay));
+        let variant = dev.variant;
+        dev.load_generation += 1;
+        let generation = dev.load_generation;
+        dev.state = WorkerState::Loading;
         self.obs.emit(now, || EventKind::ModelLoadStarted {
             device: DeviceId(device as u32),
             variant,
@@ -1153,11 +1237,11 @@ impl Engine<'_> {
             // Down devices are outside the plan's reach (the solver's device
             // mask placed nothing on them); whatever a scripted allocator
             // says, a dead worker can neither load nor serve.
-            if !dev.worker.is_up() {
+            if !dev.is_online() {
                 continue;
             }
             let new = plan.assignment(DeviceId(i as u32));
-            let old = dev.worker.variant();
+            let old = dev.variant;
             // A still-pending staged swap from an older plan: the new plan
             // either confirms it (the background load just continues) or
             // overrides it (cancel; the device keeps serving `old` and the
@@ -1167,7 +1251,7 @@ impl Engine<'_> {
                     continue;
                 }
                 dev.staged_target = None;
-                dev.worker.load_generation += 1;
+                dev.load_generation += 1;
             }
             if new == old {
                 continue;
@@ -1187,14 +1271,14 @@ impl Engine<'_> {
             if self.config.solve_latency != SolveLatency::Zero {
                 if let (Some(o), Some(n)) = (old, new) {
                     if o.family == n.family
-                        && !matches!(dev.worker.state(), WorkerState::Loading(_))
+                        && dev.state != WorkerState::Loading
                         && self.staged_swap_fits(i, o, n)
                     {
                         let delay = self.load_delay(new);
                         let dev = &mut self.devices[i];
-                        dev.worker.pending_load = None;
-                        dev.worker.load_generation += 1;
-                        let generation = dev.worker.load_generation;
+                        dev.pending_load = None;
+                        dev.load_generation += 1;
+                        let generation = dev.load_generation;
                         dev.staged_target = Some(n);
                         dev.load_attempts = 0;
                         sim.schedule(
@@ -1210,27 +1294,27 @@ impl Engine<'_> {
             }
             let dev = &mut self.devices[i];
             if family_changed {
-                displaced.extend(dev.worker.drain_queue());
+                displaced.extend(dev.queue.drain(..));
             }
             dev.set_variant(new, self.store);
             dev.load_attempts = 0;
             if preload {
                 continue;
             }
-            if let WorkerState::Busy(_) = dev.worker.state() {
+            if dev.state == WorkerState::Busy {
                 // Swap after the in-flight batch completes; the real
                 // weight-transfer delay for the *new* variant is
                 // computed now and charged at batch completion (a
                 // zero-marker here would make the swap free).
                 let delay = self.load_delay(new);
-                self.devices[i].worker.pending_load = Some(delay);
+                self.devices[i].pending_load = Some(delay);
             } else {
                 to_load.push(i);
             }
         }
         self.routers = Router::from_plan(plan);
         for i in to_load {
-            let delay = self.load_delay(self.devices[i].worker.variant());
+            let delay = self.load_delay(self.devices[i].variant);
             self.start_load_with_delay(i, now, delay, sim);
         }
         // Re-route displaced queries through the new routers.
@@ -1269,12 +1353,12 @@ impl Engine<'_> {
         };
         // Scripted allocators may keep a dead device in their routing
         // tables; the solver path never does.
-        if !self.devices[d].worker.is_up() {
+        if !self.devices[d].is_online() {
             self.obs.dropped(now, &q, DropReason::DeviceFailed);
             return None;
         }
         let query = q.id.0;
-        if let Err(q) = self.devices[d].worker.enqueue(q) {
+        if let Err(q) = self.devices[d].enqueue(q) {
             self.obs.dropped(now, &q, DropReason::QueueFull);
             return None;
         }
@@ -1291,7 +1375,7 @@ impl Engine<'_> {
         self.obs.emit(now, || EventKind::Enqueued {
             query,
             device,
-            depth: dev.worker.queue_len() as u32,
+            depth: dev.queue.len() as u32,
             behind: dev.inflight.as_ref().map(|f| f.batch),
         });
         Some(d)
@@ -1347,10 +1431,10 @@ impl Engine<'_> {
         let id = DeviceId(kind.device());
         match kind {
             FaultKind::DeviceCrash { .. } => {
-                if !self.devices[d].worker.is_up() {
+                if !self.devices[d].is_online() {
                     return;
                 }
-                self.devices[d].worker.set_up(false);
+                self.devices[d].close_online(now);
                 self.obs
                     .emit(now, || EventKind::WorkerCrashed { device: id });
                 // The liveness set changed: the control plane discards an
@@ -1362,12 +1446,11 @@ impl Engine<'_> {
                 for router in &mut self.routers {
                     router.remove_target(id);
                 }
-                self.devices[d].close_online(now);
                 self.cancel_timer(d, sim);
                 // Any pending or staged load completion is now meaningless.
                 let dev = &mut self.devices[d];
-                dev.worker.load_generation += 1;
-                dev.worker.pending_load = None;
+                dev.load_generation += 1;
+                dev.pending_load = None;
                 dev.staged_target = None;
                 // Salvage the executing batch (its completion is cancelled
                 // and its stats rolled back — it never finished) plus
@@ -1383,18 +1466,18 @@ impl Engine<'_> {
                     stats.queries = stats.queries.saturating_sub(inflight.queries.len() as u64);
                     salvage.extend(inflight.queries);
                 }
-                salvage.extend(dev.worker.drain_queue());
+                salvage.extend(dev.queue.drain(..));
                 dev.set_variant(None, self.store);
-                dev.worker.set_state(WorkerState::Idle);
+                dev.state = WorkerState::Idle;
                 self.redispatch(now, id, salvage, sim);
                 // The controller replans immediately around the failure.
                 self.reallocate(now, ReplanCause::DeviceFailure, sim);
             }
             FaultKind::DeviceRecover { .. } => {
-                if self.devices[d].worker.is_up() {
+                if self.devices[d].is_online() {
                     return;
                 }
-                self.devices[d].worker.set_up(true);
+                self.devices[d].online_since = Some(now);
                 // A recovery changes the usable device set just like a
                 // crash: a plan solved without this device is stale (and a
                 // coalesced same-instant trigger would see a different
@@ -1403,9 +1486,8 @@ impl Engine<'_> {
                 // Back empty: no model survives a crash.
                 let dev = &mut self.devices[d];
                 dev.set_variant(None, self.store);
-                dev.worker.set_state(WorkerState::Idle);
+                dev.state = WorkerState::Idle;
                 dev.load_attempts = 0;
-                dev.online_since = Some(now);
                 self.obs
                     .emit(now, || EventKind::WorkerRecovered { device: id });
                 // Fold the recovered capacity back into service.
@@ -1479,7 +1561,7 @@ impl Actor for Engine<'_> {
             }
             Event::WorkerTimer(d) => {
                 let d = d as usize;
-                self.devices[d].worker.timer = None;
+                self.devices[d].timer = None;
                 self.poke(d, now, sim);
             }
             Event::BatchDone {
@@ -1514,10 +1596,10 @@ impl Actor for Engine<'_> {
                 let mut queries = fl.queries;
                 queries.clear();
                 self.batch_pool.push(queries);
-                let worker = &mut self.devices[d].worker;
-                worker.policy_mut().on_batch_complete(any_late);
-                worker.set_state(WorkerState::Idle);
-                if let Some(delay) = worker.pending_load.take() {
+                let dev = &mut self.devices[d];
+                dev.policy.on_batch_complete(any_late);
+                dev.state = WorkerState::Idle;
+                if let Some(delay) = dev.pending_load.take() {
                     // The swap deferred by `apply_plan`; its delay was
                     // computed there, for the new variant.
                     self.start_load_with_delay(d, now, delay, sim);
@@ -1527,11 +1609,9 @@ impl Actor for Engine<'_> {
             }
             Event::LoadDone { device, generation } => {
                 let d = device as usize;
-                let worker = &self.devices[d].worker;
+                let dev = &self.devices[d];
                 // Superseded by a newer plan, or no longer loading.
-                if worker.load_generation != generation
-                    || !matches!(worker.state(), WorkerState::Loading(_))
-                {
+                if dev.load_generation != generation || dev.state != WorkerState::Loading {
                     return;
                 }
                 // Injected load failure: the weight transfer did not take.
@@ -1542,7 +1622,7 @@ impl Actor for Engine<'_> {
                     let dev = &mut self.devices[d];
                     dev.load_attempts += 1;
                     let attempt = dev.load_attempts;
-                    let variant = dev.worker.variant();
+                    let variant = dev.variant;
                     self.obs.emit(now, || EventKind::LoadFailed {
                         device: DeviceId(device),
                         variant,
@@ -1553,7 +1633,7 @@ impl Actor for Engine<'_> {
                         // piled up behind the load have no host here.
                         let dev = &mut self.devices[d];
                         dev.set_variant(None, self.store);
-                        dev.worker.set_state(WorkerState::Idle);
+                        dev.state = WorkerState::Idle;
                         self.drop_queue(d, now, DropReason::NoHost);
                         for router in &mut self.routers {
                             router.remove_target(DeviceId(device));
@@ -1568,7 +1648,7 @@ impl Actor for Engine<'_> {
                 }
                 let dev = &mut self.devices[d];
                 dev.load_attempts = 0;
-                dev.worker.set_state(WorkerState::Idle);
+                dev.state = WorkerState::Idle;
                 self.obs.emit(now, || EventKind::ModelLoadFinished {
                     device: DeviceId(device),
                 });
@@ -1600,13 +1680,13 @@ impl Actor for Engine<'_> {
             Event::StagedLoadDone { device, generation } => {
                 let d = device as usize;
                 let dev = &mut self.devices[d];
-                if dev.worker.load_generation != generation {
+                if dev.load_generation != generation {
                     return; // superseded by a newer plan or a crash
                 }
                 let Some(v) = dev.staged_target.take() else {
                     return;
                 };
-                if !dev.worker.is_up() {
+                if !dev.is_online() {
                     return;
                 }
                 // The background load finished: swap the serving variant.
@@ -2269,5 +2349,52 @@ mod tests {
             Box::new(ProteusBatching),
         );
         system.run(&arrivals);
+    }
+
+    fn device() -> Device<'static> {
+        Device::new(DeviceType::V100, Box::new(ProteusBatching), SimTime::ZERO)
+    }
+
+    fn query(i: u64) -> Query {
+        Query::new(
+            QueryId(i),
+            ModelFamily::ResNet,
+            SimTime::from_millis(i),
+            SimTime::from_millis(100),
+        )
+    }
+
+    #[test]
+    fn device_queue_holds_at_most_queue_cap() {
+        let mut dev = device();
+        for i in 0..QUEUE_CAP as u64 {
+            assert!(dev.enqueue(query(i)).is_ok());
+        }
+        let rejected = dev.enqueue(query(QUEUE_CAP as u64)).unwrap_err();
+        assert_eq!(rejected.id, QueryId(QUEUE_CAP as u64));
+        assert_eq!(dev.queue.len(), QUEUE_CAP);
+    }
+
+    #[test]
+    fn device_takes_batches_in_fifo_order() {
+        let mut dev = device();
+        for i in 0..5 {
+            dev.enqueue(query(i)).unwrap();
+        }
+        let mut batch = vec![query(99)];
+        dev.take_front_into(3, &mut batch);
+        assert_eq!(
+            batch.iter().map(|q| q.id.0).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
+        assert_eq!(dev.queue.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot take")]
+    fn taking_more_than_queued_panics() {
+        let mut dev = device();
+        dev.enqueue(query(0)).unwrap();
+        dev.take_front_into(2, &mut Vec::new());
     }
 }

@@ -7,7 +7,8 @@
 //! collector exactly: every per-family flow counter, the latency count, and
 //! the latency quantiles the run summary reports. Those quantiles must sit
 //! within the sketch's relative error α of the exact percentiles of the
-//! traced serve latencies. The same run with telemetry off must yield the
+//! traced serve latencies. Its device gauges must follow the scripted
+//! crash and recovery. The same run with telemetry off must yield the
 //! same summaries, replan log, hot-path counters, device statistics and
 //! solver counters: observing a run never changes it.
 //!
@@ -167,6 +168,21 @@ fn exposition_and_collector_agree_on_a_fault_scripted_run() {
             )),
             dropped,
             "{label}: drops"
+        );
+    }
+
+    // Liveness: device 7 is down from 8 s to 18 s. The first page (10 s)
+    // reads it as down, and the last reads every device as up.
+    let first_end = text[1..].find("# page").map_or(text.len(), |i| i + 1);
+    assert!(
+        text[..first_end].contains("proteus_device_up{device=\"7\"} 0\n"),
+        "device 7 is down on the first page"
+    );
+    for d in 0..outcome.device_stats.len() {
+        assert_eq!(
+            sample(format!("proteus_device_up{{device=\"{d}\"}}")),
+            1,
+            "device {d} is up at end of run"
         );
     }
 

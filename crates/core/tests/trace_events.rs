@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 
 use proteus_core::batching::ProteusBatching;
 use proteus_core::schedulers::{AllocContext, Allocator, ProteusAllocator};
-use proteus_core::system::{ServingSystem, SolveLatency, SystemConfig};
+use proteus_core::system::{ReplanCause, ServingSystem, SolveLatency, SystemConfig};
 use proteus_core::{AllocationPlan, FamilyMap};
 use proteus_profiler::{Cluster, DeviceId, ModelFamily, VariantId};
 use proteus_sim::{FaultSchedule, SimTime};
@@ -552,22 +552,27 @@ fn stale_plan_overlap_windows_are_visible_to_blame_and_spans() {
 /// SystemConfig::small(): 5 CPU + 2 GTX + 2 V100.
 const CHAOS_DEVICES: u32 = 9;
 
+/// Arrival span of a chaos run, in seconds; its drain runs 5 s past it.
+const CHAOS_SECS: u64 = 10;
+
 /// Records the 10 s, 60 QPS chaos run of fault-schedule `seed`: crashes,
-/// recoveries, stragglers and load failures under modeled solve latency.
-fn record_chaos_run(seed: u64) -> (Vec<TraceEvent>, proteus_core::system::RunOutcome) {
-    let horizon_secs = 10u32;
+/// recoveries, stragglers and load failures under `solve_latency`.
+fn record_chaos_run(
+    seed: u64,
+    solve_latency: SolveLatency,
+) -> (Vec<TraceEvent>, proteus_core::system::RunOutcome) {
     let arrivals = TraceBuilder::new(TraceBuilder::paper_families())
         .seed(13)
         .build(&FlatTrace {
             qps: 60.0,
-            secs: horizon_secs,
+            secs: CHAOS_SECS as u32,
         });
-    let horizon = SimTime::from_secs(u64::from(horizon_secs));
+    let horizon = SimTime::from_secs(CHAOS_SECS);
     let schedule = FaultSchedule::seeded_random(seed, horizon, CHAOS_DEVICES);
     let mut config = SystemConfig::small();
     config.audit = true;
     config.faults = schedule;
-    config.solve_latency = SolveLatency::Model;
+    config.solve_latency = solve_latency;
     config.realloc_period_secs = 5.0;
     let mut system = ServingSystem::new(
         config,
@@ -596,7 +601,7 @@ fn overload_and_chaos_runs_round_trip_through_jsonl() {
             "bursty overload, V100 crash",
             record_bursty_overload(crash).0,
         ),
-        ("chaos seed 0", record_chaos_run(0).0),
+        ("chaos seed 0", record_chaos_run(0, SolveLatency::Model).0),
     ];
     let mut text = String::new();
     for (run, events) in &runs {
@@ -622,18 +627,47 @@ fn overload_and_chaos_runs_round_trip_through_jsonl() {
 fn critical_path_invariant_holds_under_chaos_schedules() {
     // Property test: for any seeded fault schedule — crashes, recoveries,
     // stragglers, load failures — every reconstructed span tree's
-    // segments sum exactly to the query's observed latency.
-    for seed in 0..20u64 {
-        let (events, outcome) = record_chaos_run(seed);
-        check_terminal_invariant(&events);
-        check_critical_path_invariant(&events, &format!("chaos seed {seed}"));
-        // Span trees cover exactly the arrived population.
-        let s = outcome.metrics.summary();
-        assert_eq!(
-            span_trees(&events).len() as u64,
-            s.total_arrived,
-            "seed {seed}: every arrival reconstructs to one span tree"
+    // segments sum exactly to the query's observed latency. Under modeled
+    // solve latency the next fault discards each failure replan before it
+    // commits; under zero latency they commit while queries still arrive,
+    // so the trees also cover queries placed by a committed failure plan.
+    for latency in [SolveLatency::Model, SolveLatency::Zero] {
+        let (mut failure_commits, mut retries) = (0, 0);
+        for seed in 0..20u64 {
+            let (events, outcome) = record_chaos_run(seed, latency);
+            let run = format!("chaos seed {seed}, {latency:?} solve latency");
+            check_terminal_invariant(&events);
+            check_critical_path_invariant(&events, &run);
+            // Span trees cover exactly the arrived population.
+            let s = outcome.metrics.summary();
+            assert_eq!(
+                span_trees(&events).len() as u64,
+                s.total_arrived,
+                "{run}: every arrival reconstructs to one span tree"
+            );
+            failure_commits += outcome
+                .replan_log
+                .iter()
+                .filter(|r| {
+                    r.cause == ReplanCause::DeviceFailure
+                        && r.committed_at < SimTime::from_secs(CHAOS_SECS)
+                })
+                .count();
+            retries += events
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::QueryRetried { .. }))
+                .count();
+        }
+        println!(
+            "{latency:?} solve latency: {failure_commits} device_failure plan(s) \
+             committed before the drain, {retries} query_retried event(s) over 20 seeds"
         );
+        if latency == SolveLatency::Zero {
+            assert!(
+                failure_commits > 0,
+                "no device_failure plan committed inside a zero-latency chaos run"
+            );
+        }
     }
 }
 
@@ -776,7 +810,9 @@ const CHAOS_DIGESTS: [[u64; 4]; 20] = [
 
 #[test]
 fn chaos_analysis_matches_pinned_digests() {
-    let traces: Vec<Vec<TraceEvent>> = (0..20u64).map(|seed| record_chaos_run(seed).0).collect();
+    let traces: Vec<Vec<TraceEvent>> = (0..20u64)
+        .map(|seed| record_chaos_run(seed, SolveLatency::Model).0)
+        .collect();
     let digests: Vec<[u64; 4]> = traces
         .iter()
         .enumerate()
@@ -847,7 +883,9 @@ fn analysis_is_invariant_under_id_remapping() {
     // The analysis indexes query and batch ids (a dense range for small
     // query ids, hashed maps for the rest): which ids a trace uses may
     // change how fast it is analysed, never what comes out.
-    let traces: Vec<Vec<TraceEvent>> = (0..20u64).map(|seed| record_chaos_run(seed).0).collect();
+    let traces: Vec<Vec<TraceEvent>> = (0..20u64)
+        .map(|seed| record_chaos_run(seed, SolveLatency::Model).0)
+        .collect();
     let remapped: Vec<Vec<TraceEvent>> = traces
         .iter()
         .map(|events| events.iter().map(remap_event).collect())

@@ -124,8 +124,9 @@ pub struct TelemetryRuntime {
 
 impl TelemetryRuntime {
     /// Builds the runtime: opens the exposition file and binds the HTTP
-    /// listener if configured. I/O failures are sticky-recorded, never
-    /// fatal — telemetry must not take down a run.
+    /// listener if configured, printing its address on stderr. I/O
+    /// failures are sticky-recorded, never fatal — telemetry must not take
+    /// down a run.
     pub fn new(cfg: TelemetryConfig) -> Self {
         let registry = Registry::new(cfg.window, cfg.step);
         let burn = BurnEngine::new(cfg.objective, cfg.rules.clone(), registry.step());
@@ -143,7 +144,11 @@ impl TelemetryRuntime {
         let http = cfg
             .http_port
             .and_then(|port| match HttpHandle::spawn(port) {
-                Ok(h) => Some(h),
+                Ok(h) => {
+                    // Port 0 binds an ephemeral port: say which one.
+                    eprintln!("telemetry: serving http://{}/metrics", h.addr());
+                    Some(h)
+                }
                 Err(_) => {
                     io_error = true;
                     None
@@ -299,6 +304,16 @@ mod tests {
         m.record_arrival(at, family);
         let latency = SimTime::from_millis(35);
         m.record_served_query(at + latency, end_secs, family, 0.95, true, latency);
+    }
+
+    #[test]
+    fn port_zero_binds_an_ephemeral_port() {
+        let rt = TelemetryRuntime::new(TelemetryConfig {
+            http_port: Some(0),
+            ..TelemetryConfig::default()
+        });
+        let addr = rt.http_addr().expect("the listener binds");
+        assert_ne!(addr.port(), 0);
     }
 
     #[test]

@@ -268,12 +268,6 @@ impl TraceBuilder {
         ]
     }
 
-    /// Overrides the Zipf exponent.
-    pub fn zipf_alpha(mut self, alpha: f64) -> Self {
-        self.zipf = Zipf::new(self.families.len(), alpha);
-        self
-    }
-
     /// Overrides the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -305,11 +299,6 @@ impl TraceBuilder {
             .iter()
             .position(|&f| f == family)
             .map_or(0.0, |i| self.zipf.mass(i + 1))
-    }
-
-    /// Expected demand of `family` during `second` of `trace`, in QPS.
-    pub fn family_qps_at(&self, trace: &dyn DemandTrace, second: u32, family: ModelFamily) -> f64 {
-        trace.qps_at(second) * self.family_share(family)
     }
 
     /// Generates the full arrival stream, sorted by time; arrivals with

@@ -31,7 +31,7 @@ use proteus_profiler::{
 use proteus_sim::{Actor, EventKey, FaultKind, FaultSchedule, SimTime, Simulation};
 use proteus_solver::SolveStats;
 use proteus_telemetry::registry::DeviceSample;
-use proteus_telemetry::{Phase, Registry, TelemetryRuntime};
+use proteus_telemetry::{ControlSample, Phase, Registry, TelemetryRuntime};
 // Re-exported so downstream code can configure the telemetry plane and
 // read its summary without depending on proteus-telemetry directly.
 pub use proteus_telemetry::{TelemetryConfig, TelemetrySummary};
@@ -526,7 +526,9 @@ impl ServingSystem {
             debug_assert!(conserved, "conservation violated: {n} arrivals, {s:?}");
         }
 
-        let telemetry = engine.obs.finish(horizon, &engine.devices);
+        let telemetry = engine
+            .obs
+            .finish(horizon, &engine.devices, engine.control.sample());
         // Close the still-open online windows only after the telemetry
         // plane's last page, which must read those devices as up.
         for dev in &mut engine.devices {
@@ -762,8 +764,9 @@ impl<'a> Device<'a> {
 
 /// The engine's one observation fan-out: every arrival, serve and drop is
 /// reported here once and recorded once, in the metrics collector (and
-/// the trace sink). The telemetry plane reads the collector on monitoring
-/// ticks and takes only control-plane hooks of its own.
+/// the trace sink). The telemetry plane reads the collector and the
+/// engine's device and control-plane samples on monitoring ticks, and
+/// takes only self-profiling and solve-resolution hooks of its own.
 pub(crate) struct Observers<'a> {
     metrics: MetricsCollector,
     /// Flight-recorder sink; [`NullSink`] when tracing is off.
@@ -876,37 +879,31 @@ impl Observers<'_> {
         }
     }
 
-    /// Books a replan's solve wall time and its plan application.
+    /// Books a replan's solve wall time.
     pub(crate) fn replanned(&mut self, wall_secs: f64) {
         if let Some(r) = self.registry() {
             r.on_phase(Phase::Solve, (wall_secs * 1e9) as u64);
-            r.on_reallocation();
         }
     }
 
-    /// The control plane opened a solve window at `now`.
-    pub(crate) fn solve_started(&mut self, now: SimTime) {
+    /// The solve in flight since `started` committed or was discarded at
+    /// `now`.
+    pub(crate) fn solve_resolved(&mut self, started: SimTime, now: SimTime) {
         if let Some(r) = self.registry() {
-            r.on_solve_started(now);
-        }
-    }
-
-    /// The in-flight solve committed or was discarded at `now`.
-    pub(crate) fn solve_resolved(&mut self, now: SimTime) {
-        if let Some(r) = self.registry() {
-            r.on_solve_resolved(now);
+            r.on_solve_resolved(started, now);
         }
     }
 
     /// Drives the telemetry plane on the monitoring cadence: the registry
-    /// seals a step of what the collector recorded, the burn engine scans
-    /// it, and any alert transitions become first-class trace events.
-    fn tick(&mut self, now: SimTime, devices: &[Device<'_>]) {
+    /// seals a step of what the collector recorded with the device and
+    /// control-plane samples, the burn engine scans it, and any alert
+    /// transitions become first-class trace events.
+    fn tick(&mut self, now: SimTime, devices: &[Device<'_>], control: ControlSample) {
         let Some(t) = self.telemetry.as_deref_mut() else {
             return;
         };
         let samples: Vec<_> = devices.iter().map(Device::sample).collect();
-        for tr in t.tick(now, &samples, &self.metrics) {
+        for tr in t.tick(now, &samples, control, &self.metrics) {
             self.emit(tr.at, || {
                 if tr.fired {
                     EventKind::AlertFired {
@@ -931,10 +928,15 @@ impl Observers<'_> {
 
     /// Closes the telemetry plane: seals the tail, emits the last window,
     /// flushes the exposition file, and returns the summary.
-    fn finish(&mut self, now: SimTime, devices: &[Device<'_>]) -> Option<TelemetrySummary> {
+    fn finish(
+        &mut self,
+        now: SimTime,
+        devices: &[Device<'_>],
+        control: ControlSample,
+    ) -> Option<TelemetrySummary> {
         let mut t = self.telemetry.take()?;
         let samples: Vec<_> = devices.iter().map(Device::sample).collect();
-        Some(t.finish(now, &samples, &self.metrics))
+        Some(t.finish(now, &samples, control, &self.metrics))
     }
 }
 
@@ -1658,7 +1660,7 @@ impl Actor for Engine<'_> {
                 if let Some(cause) = self.control.tick(now) {
                     self.reallocate(now, cause, sim);
                 }
-                self.obs.tick(now, &self.devices);
+                self.obs.tick(now, &self.devices, self.control.sample());
                 let next = now + MONITOR_PERIOD;
                 if next <= self.control.horizon {
                     sim.schedule(next, Event::MonitorTick);

@@ -13,18 +13,21 @@
 //! **both** exceed the rule's threshold factor; it resolves as soon as
 //! the short window drops back below. Every family is watched as its own
 //! scope, plus a cluster-wide aggregate scope.
+//!
+//! The policy is the SRE workbook's fixed pair, [`RULES`]: one rule per
+//! severity, so a severity names its rule. Window sums are read off the
+//! [`Registry`]'s step history; the engine keeps only the alert log.
 
-use std::collections::VecDeque;
-
-use proteus_metrics::Bucket;
 use proteus_profiler::ModelFamily;
 use proteus_sim::SimTime;
 use proteus_trace::AlertSeverity;
 
+use crate::registry::Registry;
+
 /// One burn-rate alerting rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurnRule {
-    /// Severity tier reported when the rule fires.
+    /// Severity tier reported when the rule fires; it names the rule.
     pub severity: AlertSeverity,
     /// Long (detection) window.
     pub long: SimTime,
@@ -33,6 +36,29 @@ pub struct BurnRule {
     /// Burn-rate threshold, in multiples of the error budget.
     pub factor: f64,
 }
+
+/// The alerting policy, one rule per severity in [`AlertSeverity::ALL`]
+/// order.
+pub const RULES: [BurnRule; 2] = [
+    // Fast burn: a minute at >= 6x budget consumption pages.
+    BurnRule {
+        severity: AlertSeverity::Page,
+        long: SimTime::from_secs(60),
+        short: SimTime::from_secs(10),
+        factor: 6.0,
+    },
+    // Slow burn: five minutes at >= 2x opens a ticket.
+    BurnRule {
+        severity: AlertSeverity::Ticket,
+        long: SimTime::from_secs(300),
+        short: SimTime::from_secs(60),
+        factor: 2.0,
+    },
+];
+
+/// The distinct rule windows, shortest first. The ticket rule's short
+/// window is the page rule's long one.
+pub const WINDOWS: [SimTime; 3] = [RULES[0].short, RULES[0].long, RULES[1].long];
 
 /// A state transition of one `(rule, scope)` alert.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,94 +79,66 @@ pub struct AlertTransition {
     pub short_secs: f64,
 }
 
+/// One alert's lifetime.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AlertRecord {
+    /// When the alert fired.
+    pub fired_at: SimTime,
+    /// When it resolved (`None` = still firing).
+    pub resolved_at: Option<SimTime>,
+    /// `None` = cluster-wide.
+    pub scope: Option<ModelFamily>,
+    /// Severity tier.
+    pub severity: AlertSeverity,
+    /// Short-window burn rate at firing time.
+    pub burn_at_fire: f64,
+}
+
 /// Number of scopes tracked: one per family plus the aggregate.
 const SCOPES: usize = ModelFamily::COUNT + 1;
 /// Scope index of the cluster-wide aggregate.
 const AGG: usize = ModelFamily::COUNT;
 
-fn scope_family(scope: usize) -> Option<ModelFamily> {
-    (scope < ModelFamily::COUNT).then(|| ModelFamily::from_index(scope))
+fn scope_index(scope: Option<ModelFamily>) -> usize {
+    scope.map_or(AGG, ModelFamily::index)
 }
 
-/// Per-step `(violations, arrivals)` pair.
-#[derive(Debug, Clone, Copy, Default)]
-struct StepCount {
-    violations: u64,
-    arrived: u64,
+/// `(violations, arrivals)` per scope over the trailing `window` of the
+/// registry's sealed steps. The counts are integers, so the sum is exact
+/// whatever the order.
+fn window_counts(registry: &Registry, window: SimTime) -> [(u64, u64); SCOPES] {
+    let mut sums = [(0, 0); SCOPES];
+    for flows in registry.recent(registry.steps_in(window)) {
+        for (sum, cell) in sums.iter_mut().zip(flows) {
+            sum.0 += cell.violations();
+            sum.1 += cell.arrived;
+        }
+        for cell in flows {
+            sums[AGG].0 += cell.violations();
+            sums[AGG].1 += cell.arrived;
+        }
+    }
+    sums
 }
 
-/// Rolling per-scope totals over one trailing window length, updated in
-/// O(scopes) per step instead of re-summing the ring.
-#[derive(Debug, Clone)]
-struct WindowSum {
-    steps: usize,
-    sums: [StepCount; SCOPES],
-}
-
-/// The burn-rate engine. Fed one sealed step per monitoring tick.
+/// The burn-rate engine. Evaluated once per sealed step; its alert log is
+/// the only alert state.
 #[derive(Debug, Clone)]
 pub struct BurnEngine {
     budget: f64,
-    rules: Vec<BurnRule>,
-    step: SimTime,
-    /// Ring of per-step counts, oldest in front; sized to the longest
-    /// rule window.
-    ring: VecDeque<[StepCount; SCOPES]>,
-    cap: usize,
-    /// One rolling sum per distinct rule window (long and short), so the
-    /// per-step evaluation never walks the ring.
-    windows: Vec<WindowSum>,
-    /// Active flag per `(rule, scope)`.
-    active: Vec<bool>,
-    fired_total: [u64; 2],
-    resolved_total: [u64; 2],
+    /// Every alert's lifetime, in firing order.
+    log: Vec<AlertRecord>,
     peak_burn: f64,
 }
 
 impl BurnEngine {
-    /// Creates an engine for an on-time `objective` in `(0, 1)` (clamped)
-    /// with the given rules, fed steps of width `step`.
-    pub fn new(objective: f64, rules: Vec<BurnRule>, step: SimTime) -> Self {
-        let objective = objective.clamp(0.0, 0.9999);
-        let step = step.max(SimTime::from_nanos(1));
-        let longest = rules
-            .iter()
-            .map(|r| r.long.as_nanos())
-            .max()
-            .unwrap_or(step.as_nanos());
-        let cap = (longest / step.as_nanos()).max(1) as usize;
-        let active = vec![false; rules.len() * SCOPES];
-        let mut window_steps: Vec<usize> = rules
-            .iter()
-            .flat_map(|r| [r.long, r.short])
-            .map(|w| (w.as_nanos() / step.as_nanos()).max(1) as usize)
-            .collect();
-        window_steps.sort_unstable();
-        window_steps.dedup();
-        let windows = window_steps
-            .into_iter()
-            .map(|steps| WindowSum {
-                steps,
-                sums: [StepCount::default(); SCOPES],
-            })
-            .collect();
+    /// Creates an engine for an on-time `objective` in `(0, 1)` (clamped).
+    pub fn new(objective: f64) -> Self {
         BurnEngine {
-            budget: 1.0 - objective,
-            rules,
-            step,
-            ring: VecDeque::with_capacity(cap),
-            cap,
-            windows,
-            active,
-            fired_total: [0; 2],
-            resolved_total: [0; 2],
+            budget: 1.0 - objective.clamp(0.0, 0.9999),
+            log: Vec::new(),
             peak_burn: 0.0,
         }
-    }
-
-    /// The configured rules.
-    pub fn rules(&self) -> &[BurnRule] {
-        &self.rules
     }
 
     /// The error budget `1 - objective`.
@@ -148,14 +146,22 @@ impl BurnEngine {
         self.budget
     }
 
+    /// Every alert's lifetime so far, in firing order.
+    pub fn alerts(&self) -> &[AlertRecord] {
+        &self.log
+    }
+
     /// Total alerts fired so far for one severity.
     pub fn fired_total(&self, severity: AlertSeverity) -> u64 {
-        self.fired_total[severity_index(severity)]
+        self.log.iter().filter(|a| a.severity == severity).count() as u64
     }
 
     /// Total alerts resolved so far for one severity.
     pub fn resolved_total(&self, severity: AlertSeverity) -> u64 {
-        self.resolved_total[severity_index(severity)]
+        self.log
+            .iter()
+            .filter(|a| a.severity == severity && a.resolved_at.is_some())
+            .count() as u64
     }
 
     /// Highest short-window burn rate observed at any tick, any scope.
@@ -163,235 +169,238 @@ impl BurnEngine {
         self.peak_burn
     }
 
-    /// Whether the `(rule, scope)` alert is currently firing.
-    pub fn is_active(&self, rule: usize, scope: Option<ModelFamily>) -> bool {
-        let s = scope.map_or(AGG, ModelFamily::index);
-        self.active.get(rule * SCOPES + s).copied().unwrap_or(false)
+    /// The log index of the `(severity, scope)` alert firing now, if any.
+    fn open(&self, severity: AlertSeverity, scope: Option<ModelFamily>) -> Option<usize> {
+        self.log
+            .iter()
+            .rposition(|a| a.resolved_at.is_none() && a.severity == severity && a.scope == scope)
     }
 
-    /// Currently firing alerts as `(rule index, scope)` pairs.
-    pub fn active_alerts(&self) -> Vec<(usize, Option<ModelFamily>)> {
-        let mut out = Vec::new();
-        for (i, &on) in self.active.iter().enumerate() {
-            if on {
-                out.push((i / SCOPES, scope_family(i % SCOPES)));
-            }
-        }
+    /// Whether the `(severity, scope)` alert is currently firing.
+    pub fn is_active(&self, severity: AlertSeverity, scope: Option<ModelFamily>) -> bool {
+        self.open(severity, scope).is_some()
+    }
+
+    /// Currently firing alerts as `(severity, scope)` pairs, in rule order
+    /// and, within a rule, by family with the cluster-wide scope last.
+    pub fn active_alerts(&self) -> Vec<(AlertSeverity, Option<ModelFamily>)> {
+        let mut out: Vec<_> = self
+            .log
+            .iter()
+            .filter(|a| a.resolved_at.is_none())
+            .map(|a| (a.severity, a.scope))
+            .collect();
+        out.sort_by_key(|&(severity, scope)| (severity as usize, scope_index(scope)));
         out
     }
 
-    /// Burn rate over the trailing `window` for a scope (0 if no
-    /// arrivals in the window).
-    ///
-    /// Rule windows hit the rolling sums; any other window falls back to
-    /// walking the ring (bounded by the longest rule window).
-    pub fn burn_rate(&self, window: SimTime, scope: Option<ModelFamily>) -> f64 {
-        let steps = (window.as_nanos() / self.step.as_nanos()).max(1) as usize;
-        let s = scope.map_or(AGG, ModelFamily::index);
-        if let Some(w) = self.windows.iter().find(|w| w.steps == steps) {
-            return Self::rate(w.sums[s], self.budget);
-        }
-        let mut sum = StepCount::default();
-        for counts in self.ring.iter().rev().take(steps) {
-            sum.violations += counts[s].violations;
-            sum.arrived += counts[s].arrived;
-        }
-        Self::rate(sum, self.budget)
-    }
-
-    fn rate(sum: StepCount, budget: f64) -> f64 {
-        if sum.arrived == 0 {
+    fn rate(&self, (violations, arrived): (u64, u64)) -> f64 {
+        if arrived == 0 {
             return 0.0;
         }
-        (sum.violations as f64 / sum.arrived as f64) / budget.max(1e-9)
+        (violations as f64 / arrived as f64) / self.budget.max(1e-9)
     }
 
-    /// Feeds one sealed step and returns the alert transitions it caused.
-    pub fn push_step(
-        &mut self,
-        at: SimTime,
-        flows: &[Bucket; ModelFamily::COUNT],
-    ) -> Vec<AlertTransition> {
-        let mut counts = [StepCount::default(); SCOPES];
-        for (i, cell) in flows.iter().enumerate() {
-            counts[i] = StepCount {
-                violations: cell.violations(),
-                arrived: cell.arrived,
-            };
-            counts[AGG].violations += cell.violations();
-            counts[AGG].arrived += cell.arrived;
-        }
-        // Roll every window sum forward: the new step enters, the step
-        // that ages out of the window leaves. `ring` still ends at the
-        // *previous* step here, so the leaver sits at `len - steps`.
-        for w in &mut self.windows {
-            for (sum, add) in w.sums.iter_mut().zip(&counts) {
-                sum.violations += add.violations;
-                sum.arrived += add.arrived;
-            }
-            if self.ring.len() >= w.steps {
-                let old = &self.ring[self.ring.len() - w.steps];
-                for (sum, sub) in w.sums.iter_mut().zip(old) {
-                    sum.violations -= sub.violations;
-                    sum.arrived -= sub.arrived;
-                }
-            }
-        }
-        if self.ring.len() == self.cap {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(counts);
+    /// Burn rate over the trailing `window` of `registry`'s steps for a
+    /// scope (0 if no arrivals in the window).
+    pub fn burn_rate(
+        &self,
+        registry: &Registry,
+        window: SimTime,
+        scope: Option<ModelFamily>,
+    ) -> f64 {
+        self.rate(window_counts(registry, window)[scope_index(scope)])
+    }
 
+    /// Evaluates every rule on the step `registry` sealed at `at` and
+    /// returns the alert transitions it caused.
+    pub fn push_step(&mut self, at: SimTime, registry: &Registry) -> Vec<AlertTransition> {
         let mut transitions = Vec::new();
-        for ri in 0..self.rules.len() {
-            let rule = self.rules[ri];
-            for scope_idx in 0..SCOPES {
-                let scope = scope_family(scope_idx);
-                let short = self.burn_rate(rule.short, scope);
-                self.peak_burn = self.peak_burn.max(short);
-                let flag = ri * SCOPES + scope_idx;
-                if self.active[flag] {
-                    if short < rule.factor {
-                        self.active[flag] = false;
-                        self.resolved_total[severity_index(rule.severity)] += 1;
-                        transitions.push(AlertTransition {
-                            at,
+        for rule in &RULES {
+            let short = window_counts(registry, rule.short);
+            let long = window_counts(registry, rule.long);
+            for (s, (&short, &long)) in short.iter().zip(&long).enumerate() {
+                let scope = (s < AGG).then(|| ModelFamily::from_index(s));
+                let burn = self.rate(short);
+                self.peak_burn = self.peak_burn.max(burn);
+                let fired = match self.open(rule.severity, scope) {
+                    Some(i) if burn < rule.factor => {
+                        self.log[i].resolved_at = Some(at);
+                        false
+                    }
+                    None if burn >= rule.factor && self.rate(long) >= rule.factor => {
+                        self.log.push(AlertRecord {
+                            fired_at: at,
+                            resolved_at: None,
                             scope,
                             severity: rule.severity,
-                            fired: false,
-                            burn: short,
-                            long_secs: rule.long.as_secs_f64(),
-                            short_secs: rule.short.as_secs_f64(),
+                            burn_at_fire: burn,
                         });
+                        true
                     }
-                } else {
-                    let long = self.burn_rate(rule.long, scope);
-                    if short >= rule.factor && long >= rule.factor {
-                        self.active[flag] = true;
-                        self.fired_total[severity_index(rule.severity)] += 1;
-                        transitions.push(AlertTransition {
-                            at,
-                            scope,
-                            severity: rule.severity,
-                            fired: true,
-                            burn: short,
-                            long_secs: rule.long.as_secs_f64(),
-                            short_secs: rule.short.as_secs_f64(),
-                        });
-                    }
-                }
+                    _ => continue,
+                };
+                transitions.push(AlertTransition {
+                    at,
+                    scope,
+                    severity: rule.severity,
+                    fired,
+                    burn,
+                    long_secs: rule.long.as_secs_f64(),
+                    short_secs: rule.short.as_secs_f64(),
+                });
             }
         }
         transitions
     }
 }
 
-fn severity_index(s: AlertSeverity) -> usize {
-    match s {
-        AlertSeverity::Page => 0,
-        AlertSeverity::Ticket => 1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proteus_metrics::MetricsCollector;
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
     }
 
-    fn rule(long: u64, short: u64, factor: f64) -> BurnRule {
-        BurnRule {
-            severity: AlertSeverity::Page,
-            long: t(long),
-            short: t(short),
-            factor,
+    /// A registry sealing 1 s steps, its collector and a burn engine.
+    struct Feed {
+        registry: Registry,
+        metrics: MetricsCollector,
+        engine: BurnEngine,
+        now: u64,
+    }
+
+    impl Feed {
+        fn new(objective: f64) -> Self {
+            Feed {
+                registry: Registry::new(t(10), t(1)),
+                metrics: MetricsCollector::new(t(1)),
+                engine: BurnEngine::new(objective),
+                now: 0,
+            }
+        }
+
+        /// Records one second of `family` traffic, `dropped` of `arrived`
+        /// dropped and the rest served on time, then seals and evaluates.
+        fn step(
+            &mut self,
+            family: ModelFamily,
+            arrived: u64,
+            dropped: u64,
+        ) -> Vec<AlertTransition> {
+            let at = SimTime::from_millis(self.now * 1000 + 500);
+            for i in 0..arrived {
+                self.metrics.record_arrival(at, family);
+                if i < dropped {
+                    self.metrics.record_dropped(at, family);
+                } else {
+                    self.metrics.record_served(at, family, 0.9, true);
+                }
+            }
+            self.now += 1;
+            let now = t(self.now);
+            self.registry
+                .seal_step(now, &[], Default::default(), &self.metrics);
+            self.engine.push_step(now, &self.registry)
         }
     }
 
-    fn flows(arrived: u64, dropped: u64) -> [Bucket; ModelFamily::COUNT] {
-        let mut f = [Bucket::default(); ModelFamily::COUNT];
-        f[0].arrived = arrived;
-        f[0].dropped = dropped;
-        f[0].served_on_time = arrived - dropped;
-        f
+    fn pages(transitions: &[AlertTransition], fired: bool) -> usize {
+        transitions
+            .iter()
+            .filter(|tr| tr.severity == AlertSeverity::Page && tr.fired == fired)
+            .count()
     }
 
     #[test]
-    fn fires_when_both_windows_exceed_and_resolves_on_short() {
-        // Objective 0.9 => budget 0.1; factor 3 needs >= 30 % violations.
-        let mut e = BurnEngine::new(0.9, vec![rule(4, 2, 3.0)], t(1));
-        // Healthy steps: no transition.
-        for s in 1..=4 {
-            assert!(e.push_step(t(s), &flows(100, 0)).is_empty());
+    fn the_policy_is_the_workbook_pair_with_three_windows() {
+        assert_eq!(
+            RULES.map(|r| r.severity),
+            AlertSeverity::ALL,
+            "one rule per severity, in severity order"
+        );
+        assert_eq!(RULES[1].short, RULES[0].long);
+        assert!(WINDOWS.is_sorted());
+    }
+
+    #[test]
+    fn page_fires_when_both_windows_exceed_and_resolves_on_short() {
+        // Objective 0.95 => budget 0.05; the page rule's 6x factor needs
+        // 30 % violations in both its 10 s and 60 s windows.
+        let resnet = ModelFamily::ResNet;
+        let mut f = Feed::new(0.95);
+        for _ in 0..60 {
+            assert!(f.step(resnet, 100, 0).is_empty());
         }
-        // Outage: 50 % drops. Long window (4 steps) needs three bad
-        // steps to average >= 30 % (150 violations / 400 arrivals).
-        assert!(e.push_step(t(5), &flows(100, 50)).is_empty());
-        // Short window is hot (5x) but the long window still reads 2.5x.
-        assert!(e.push_step(t(6), &flows(100, 50)).is_empty());
-        let fired = e.push_step(t(7), &flows(100, 50));
-        assert_eq!(fired.len(), 2, "family scope and aggregate: {fired:?}");
-        assert!(fired.iter().all(|tr| tr.fired));
-        assert!(fired.iter().any(|tr| tr.scope.is_none()));
-        assert!(e.is_active(0, None));
-        // Recovery: one good step drags the short window to 2.5x < 3x.
-        let resolved = e.push_step(t(8), &flows(100, 0));
-        assert_eq!(resolved.len(), 2);
-        assert!(resolved.iter().all(|tr| !tr.fired));
-        assert!(!e.is_active(0, None));
-        assert_eq!(e.fired_total(AlertSeverity::Page), 2);
-        assert_eq!(e.resolved_total(AlertSeverity::Page), 2);
-        assert!(e.peak_burn() >= 5.0 - 1e-9);
+        // Seconds with 70 % dropped burn at 14x: the short window is hot
+        // after the first, the long one only once 26 of its 60 are bad.
+        for bad in 1..=30u64 {
+            let fired = pages(&f.step(resnet, 100, 70), true);
+            let want = if bad == 26 { 2 } else { 0 };
+            assert_eq!(fired, want, "family scope and aggregate, bad second {bad}");
+        }
+        assert!(f.engine.is_active(AlertSeverity::Page, None));
+        // Recovery: the short window reads 7x with five bad seconds left
+        // in it and resolves at 5.6x with four.
+        for good in 1..=6 {
+            let resolved = pages(&f.step(resnet, 100, 0), false);
+            assert_eq!(
+                resolved,
+                if good == 6 { 2 } else { 0 },
+                "good second {good}"
+            );
+        }
+        assert!(!f.engine.is_active(AlertSeverity::Page, None));
+        assert_eq!(f.engine.fired_total(AlertSeverity::Page), 2);
+        assert_eq!(f.engine.resolved_total(AlertSeverity::Page), 2);
+        assert!((f.engine.peak_burn() - 14.0).abs() < 1e-9);
+        // Every lifetime is in the log, tickets included.
+        assert_eq!(
+            f.engine.alerts().len() as u64,
+            2 + f.engine.fired_total(AlertSeverity::Ticket)
+        );
+    }
+
+    #[test]
+    fn active_alerts_are_in_rule_then_scope_order() {
+        // Budget 0.1: an all-dropped second burns at 10x, past both rules.
+        let mut f = Feed::new(0.9);
+        assert_eq!(f.step(ModelFamily::T5, 10, 10).len(), 4);
+        // ResNet fires a second later; T5's short window is still hot.
+        assert_eq!(f.step(ModelFamily::ResNet, 10, 10).len(), 2);
+        let (page, ticket) = (AlertSeverity::Page, AlertSeverity::Ticket);
+        assert_eq!(
+            f.engine.active_alerts(),
+            [
+                (page, Some(ModelFamily::ResNet)),
+                (page, Some(ModelFamily::T5)),
+                (page, None),
+                (ticket, Some(ModelFamily::ResNet)),
+                (ticket, Some(ModelFamily::T5)),
+                (ticket, None),
+            ]
+        );
     }
 
     #[test]
     fn empty_windows_do_not_alert() {
-        let mut e = BurnEngine::new(0.99, vec![rule(10, 2, 1.0)], t(1));
-        for s in 1..=20 {
-            assert!(e.push_step(t(s), &flows(0, 0)).is_empty());
+        let mut f = Feed::new(0.99);
+        for _ in 0..20 {
+            assert!(f.step(ModelFamily::ResNet, 0, 0).is_empty());
         }
-        assert_eq!(e.peak_burn(), 0.0);
-    }
-
-    #[test]
-    fn rolling_window_sums_match_a_manual_trailing_sum() {
-        // Thresholds high enough that nothing fires; we only exercise the
-        // rolling-sum bookkeeping against a straightforward recomputation.
-        let mut e = BurnEngine::new(0.9, vec![rule(7, 3, 1e18)], t(1));
-        let mut history: Vec<(u64, u64)> = Vec::new();
-        for s in 1..=40u64 {
-            let arrived = 50 + (s * 17) % 60;
-            let dropped = (s * 13) % 31;
-            e.push_step(t(s), &flows(arrived, dropped));
-            history.push((arrived, dropped));
-            for steps in [3usize, 7] {
-                let tail = &history[history.len().saturating_sub(steps)..];
-                let (arr, bad) = tail
-                    .iter()
-                    .fold((0u64, 0u64), |(a, b), (x, y)| (a + x, b + y));
-                let expect = if arr == 0 {
-                    0.0
-                } else {
-                    (bad as f64 / arr as f64) / 0.1
-                };
-                let got = e.burn_rate(t(steps as u64), Some(ModelFamily::from_index(0)));
-                assert!(
-                    (got - expect).abs() < 1e-9,
-                    "step {s} window {steps}: got {got}, expected {expect}"
-                );
-            }
-        }
+        assert_eq!(f.engine.peak_burn(), 0.0);
     }
 
     #[test]
     fn burn_rate_is_violations_over_budget() {
-        let mut e = BurnEngine::new(0.95, vec![rule(10, 5, 100.0)], t(1));
-        e.push_step(t(1), &flows(100, 10));
+        let mut f = Feed::new(0.95);
+        f.step(ModelFamily::ResNet, 100, 10);
+        let (e, r) = (&f.engine, &f.registry);
         // 10 % violations / 5 % budget = 2x.
-        assert!((e.burn_rate(t(5), None) - 2.0).abs() < 1e-9);
-        assert!((e.burn_rate(t(5), Some(ModelFamily::from_index(0))) - 2.0).abs() < 1e-9);
-        assert_eq!(e.burn_rate(t(5), Some(ModelFamily::from_index(1))), 0.0);
+        assert!((e.burn_rate(r, t(5), None) - 2.0).abs() < 1e-9);
+        assert!((e.burn_rate(r, t(5), Some(ModelFamily::ResNet)) - 2.0).abs() < 1e-9);
+        assert_eq!(e.burn_rate(r, t(5), Some(ModelFamily::Bert)), 0.0);
     }
 }

@@ -12,8 +12,8 @@ use proteus_metrics::MetricsCollector;
 use proteus_profiler::ModelFamily;
 use proteus_trace::AlertSeverity;
 
-use crate::burn::BurnEngine;
-use crate::registry::WindowView;
+use crate::burn::{BurnEngine, RULES, WINDOWS};
+use crate::registry::{Registry, WindowView};
 
 /// How many windows of history the strips keep.
 const HISTORY: usize = 48;
@@ -53,9 +53,11 @@ impl Dashboard {
     }
 
     /// Absorbs the window that just closed and renders the next frame;
-    /// the latency percentiles are `collector`'s, since run start.
+    /// the latency percentiles are `collector`'s, since run start, and the
+    /// burn rates are over `registry`'s steps.
     pub fn render(
         &mut self,
+        registry: &Registry,
         collector: &MetricsCollector,
         burn: &BurnEngine,
         view: &WindowView,
@@ -99,12 +101,7 @@ impl Dashboard {
         };
 
         let lat = collector.latency();
-        let shortest = burn
-            .rules()
-            .iter()
-            .map(|r| r.short)
-            .min()
-            .unwrap_or(proteus_sim::SimTime::from_secs(60));
+        let shortest = WINDOWS[0];
 
         let mut out = String::with_capacity(2 * 1024);
         // Clear screen, home cursor.
@@ -152,7 +149,7 @@ impl Dashboard {
         // ties so a healthy run shows the busiest families, not family 0.
         let mut ranked: Vec<(ModelFamily, f64)> = ModelFamily::ALL
             .into_iter()
-            .map(|f| (f, burn.burn_rate(shortest, Some(f))))
+            .map(|f| (f, burn.burn_rate(registry, shortest, Some(f))))
             .collect();
         ranked.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
@@ -169,13 +166,10 @@ impl Dashboard {
         ));
         for (family, rate) in ranked.iter().take(5) {
             let cell = view.families[family.index()];
-            let alert = burn
-                .rules()
+            let alert = RULES
                 .iter()
-                .enumerate()
-                .filter(|(i, _)| burn.is_active(*i, Some(*family)))
-                .map(|(_, r)| r.severity)
-                .next();
+                .map(|r| r.severity)
+                .find(|&s| burn.is_active(s, Some(*family)));
             let marker = match alert {
                 Some(AlertSeverity::Page) => " \x1b[31mALERT page\x1b[0m",
                 Some(AlertSeverity::Ticket) => " \x1b[33malert ticket\x1b[0m",
@@ -208,7 +202,7 @@ mod tests {
     fn frame_contains_header_strips_and_families() {
         let mut reg = Registry::new(SimTime::from_secs(10), SimTime::from_secs(1));
         let mut metrics = MetricsCollector::new(SimTime::from_secs(1));
-        let mut burn = BurnEngine::new(0.95, Vec::new(), SimTime::from_secs(1));
+        let mut burn = BurnEngine::new(0.95);
         let mut dash = Dashboard::new();
         for s in 1..=3u64 {
             for i in 0..10 {
@@ -224,11 +218,11 @@ mod tests {
                     latency,
                 );
             }
-            let flows = reg.seal_step(SimTime::from_secs(s), &[], &metrics);
-            burn.push_step(SimTime::from_secs(s), &flows);
+            reg.seal_step(SimTime::from_secs(s), &[], Default::default(), &metrics);
+            burn.push_step(SimTime::from_secs(s), &reg);
         }
         let view = reg.window().unwrap();
-        let frame = dash.render(&metrics, &burn, &view);
+        let frame = dash.render(&reg, &metrics, &burn, &view);
         assert!(frame.contains("p50/p90/p99 30/30/30 ms"), "{frame}");
         assert!(frame.contains("PROTEUS LIVE"));
         assert!(frame.contains("YOLOv5"));

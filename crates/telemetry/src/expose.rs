@@ -13,9 +13,8 @@ use std::fmt::Write as _;
 
 use proteus_metrics::{Bucket, MetricsCollector};
 use proteus_profiler::ModelFamily;
-use proteus_sim::SimTime;
 
-use crate::burn::BurnEngine;
+use crate::burn::{BurnEngine, WINDOWS};
 use crate::registry::{Phase, Registry, WindowView};
 
 /// Escapes a label value per the exposition format: backslash, double
@@ -381,21 +380,18 @@ pub fn render_page(
     p.sample(
         "proteus_reallocations_total",
         &[],
-        registry.reallocations() as f64,
+        view.control.reallocations as f64,
     );
     p.help_type(
         "proteus_solve_in_progress",
         "gauge",
         "1 while an allocation solve window is open (old plan still serving).",
     );
+    let solving = view.control.solve_started.is_some();
     p.sample(
         "proteus_solve_in_progress",
         &[],
-        if registry.solve_in_progress() {
-            1.0
-        } else {
-            0.0
-        },
+        if solving { 1.0 } else { 0.0 },
     );
     let stale = registry.stale_age();
     p.help_type(
@@ -422,27 +418,18 @@ pub fn render_page(
         "gauge",
         "Error-budget burn rate over each rule window (cluster-wide scope=all).",
     );
-    let mut windows: Vec<SimTime> = Vec::new();
-    for r in burn.rules() {
-        for w in [r.short, r.long] {
-            if !windows.contains(&w) {
-                windows.push(w);
-            }
-        }
-    }
-    windows.sort();
-    for w in &windows {
+    for w in WINDOWS {
         let wl = format!("{}s", num(w.as_secs_f64()));
         p.sample(
             "proteus_slo_burn_rate",
             &[("scope", "all"), ("window", &wl)],
-            burn.burn_rate(*w, None),
+            burn.burn_rate(registry, w, None),
         );
         for f in ModelFamily::ALL {
             p.sample(
                 "proteus_slo_burn_rate",
                 &[("scope", f.label()), ("window", &wl)],
-                burn.burn_rate(*w, Some(f)),
+                burn.burn_rate(registry, w, Some(f)),
             );
         }
     }
@@ -451,16 +438,11 @@ pub fn render_page(
         "gauge",
         "1 while a burn-rate alert is firing for (scope, severity).",
     );
-    for (rule_idx, scope) in burn.active_alerts() {
-        let severity = burn
-            .rules()
-            .get(rule_idx)
-            .map(|r| r.severity.label())
-            .unwrap_or("page");
+    for (severity, scope) in burn.active_alerts() {
         let scope_label = scope.map_or("all", |f| f.label());
         p.sample(
             "proteus_alert_active",
-            &[("scope", scope_label), ("severity", severity)],
+            &[("scope", scope_label), ("severity", severity.label())],
             1.0,
         );
     }
@@ -492,7 +474,7 @@ pub fn render_page(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proteus_trace::AlertSeverity;
+    use proteus_sim::SimTime;
 
     #[test]
     fn label_escaping_covers_the_format() {
@@ -506,16 +488,7 @@ mod tests {
     fn page_renders_help_type_and_samples() {
         let mut reg = Registry::new(SimTime::from_secs(10), SimTime::from_secs(1));
         let mut metrics = MetricsCollector::new(SimTime::from_secs(1));
-        let mut burn = BurnEngine::new(
-            0.95,
-            vec![crate::burn::BurnRule {
-                severity: AlertSeverity::Page,
-                long: SimTime::from_secs(300),
-                short: SimTime::from_secs(60),
-                factor: 10.0,
-            }],
-            SimTime::from_secs(1),
-        );
+        let mut burn = BurnEngine::new(0.95);
         metrics.record_arrival(SimTime::from_millis(100), ModelFamily::ResNet);
         metrics.record_served_query(
             SimTime::from_millis(140),
@@ -525,12 +498,13 @@ mod tests {
             true,
             SimTime::from_millis(40),
         );
-        let flows = reg.seal_step(
+        reg.seal_step(
             SimTime::from_secs(1),
             &[crate::registry::DeviceSample::default()],
+            Default::default(),
             &metrics,
         );
-        burn.push_step(SimTime::from_secs(1), &flows);
+        burn.push_step(SimTime::from_secs(1), &reg);
         let view = reg.window().unwrap();
         let page = render_page(1, &reg, &metrics, &burn, &view);
         assert!(page.starts_with("# page 1 sim_seconds 1"));

@@ -6,27 +6,8 @@
 use proteus_metrics::MetricsCollector;
 use proteus_profiler::ModelFamily;
 use proteus_sim::SimTime;
-use proteus_telemetry::burn::BurnRule;
 use proteus_telemetry::expose::render_page;
-use proteus_telemetry::{validate, BurnEngine, Registry};
-use proteus_trace::AlertSeverity;
-
-fn default_rules() -> Vec<BurnRule> {
-    vec![
-        BurnRule {
-            severity: AlertSeverity::Page,
-            long: SimTime::from_secs(60),
-            short: SimTime::from_secs(10),
-            factor: 6.0,
-        },
-        BurnRule {
-            severity: AlertSeverity::Ticket,
-            long: SimTime::from_secs(300),
-            short: SimTime::from_secs(60),
-            factor: 2.0,
-        },
-    ]
-}
+use proteus_telemetry::{validate, BurnEngine, ControlSample, Registry};
 
 /// Drives a collector, registry and burn engine through `windows` full
 /// windows of synthetic traffic (with a violation burst in the middle so
@@ -35,7 +16,7 @@ fn generate_pages(windows: u64) -> String {
     let step = SimTime::from_secs(1);
     let mut metrics = MetricsCollector::new(step);
     let mut reg = Registry::new(SimTime::from_secs(10), step);
-    let mut burn = BurnEngine::new(0.95, default_rules(), step);
+    let mut burn = BurnEngine::new(0.95);
     let mut out = String::new();
     let mut page_no = 0u64;
     let total_steps = windows * 10;
@@ -55,8 +36,8 @@ fn generate_pages(windows: u64) -> String {
         }
         reg.on_phase(proteus_telemetry::Phase::Route, 3_000 + s % 5_000);
         let now = SimTime::from_secs(s);
-        let flows = reg.seal_step(now, &[], &metrics);
-        burn.push_step(now, &flows);
+        reg.seal_step(now, &[], ControlSample::default(), &metrics);
+        burn.push_step(now, &reg);
         if s % 10 == 0 {
             page_no += 1;
             let view = reg.window().expect("full window");

@@ -1,8 +1,8 @@
 //! Shared floating-point tolerances for the solver — the *only* module in
 //! the workspace where direct `f64` equality is permitted.
 //!
-//! Every numeric comparison in the simplex, the branch & bound layer and
-//! the plan auditor routes through the named constants and helpers below,
+//! Every numeric comparison in the simplex and the branch & bound layer
+//! routes through the named constants and helpers below,
 //! so the tolerance story lives in one documented place instead of being
 //! scattered as magic literals (`proteus-lint` enforces this: its
 //! `float-eq` rule forbids raw `==`/`!=` on floats outside this module).
@@ -49,9 +49,9 @@ pub const INTEGRALITY: f64 = 1e-6;
 /// is within this of the incumbent is pruned.
 pub const GAP: f64 = 1e-6;
 
-/// Tolerance for accepting a finished solution: candidate incumbents and
-/// audited plans are re-checked against the raw constraints at this
-/// (deliberately loose) precision.
+/// Tolerance for accepting a finished solution: candidate incumbents are
+/// re-checked against the raw constraints at this (deliberately loose)
+/// precision.
 pub const SOLUTION: f64 = 1e-6;
 
 /// Exact (bit-level) zero test.
@@ -65,12 +65,6 @@ pub const SOLUTION: f64 = 1e-6;
 #[inline]
 pub fn nonzero(x: f64) -> bool {
     x != 0.0
-}
-
-/// Absolute closeness: `|a - b| <= tol`.
-#[inline]
-pub fn within(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol
 }
 
 /// Relative closeness with an absolute floor: `|a - b|` within `tol`
@@ -112,12 +106,10 @@ mod tests {
     }
 
     #[test]
-    fn within_and_scaled() {
-        assert!(within(1.0, 1.0 + 1e-8, 1e-7));
-        assert!(!within(1.0, 1.0 + 1e-6, 1e-7));
-        // Scaled: 1e6 vs 1e6 + 0.5 is within 1e-6 relative.
+    fn within_scaled_is_relative() {
+        // 1e6 vs 1e6 + 0.5 is within 1e-6 relative, 1 vs 1.5 is not.
         assert!(within_scaled(1e6, 1e6 + 0.5, 1e-6));
-        assert!(!within(1e6, 1e6 + 0.5, 1e-6));
+        assert!(!within_scaled(1.0, 1.5, 1e-6));
     }
 
     #[test]

@@ -46,12 +46,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
-pub mod audit;
 mod branch_bound;
 pub mod eps;
 mod problem;
 pub mod simplex;
 
-pub use audit::{audit_solution, LpAuditReport, LpViolation};
 pub use branch_bound::{MilpSolver, SolveStats};
 pub use problem::{LinearProgram, Relation, Sense, Solution, SolveError, VarId};

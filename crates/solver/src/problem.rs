@@ -240,19 +240,6 @@ impl LinearProgram {
         self.constraints.len()
     }
 
-    /// Read-only view of one constraint row: its sparse terms, relation and
-    /// right-hand side. Exists so external checkers (the plan auditor) can
-    /// re-verify a solution against the raw problem without any access to
-    /// solver internals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.num_constraints()`.
-    pub fn constraint(&self, index: usize) -> (&[(VarId, f64)], Relation, f64) {
-        let c = &self.constraints[index];
-        (&c.terms, c.relation, c.rhs)
-    }
-
     /// Number of integer variables.
     pub fn num_integers(&self) -> usize {
         self.variables.iter().filter(|v| v.integer).count()
@@ -297,7 +284,7 @@ impl LinearProgram {
     /// This is the problem-level "mask" primitive: callers that must
     /// exclude part of the search space (for example, devices that are
     /// currently down) fix the corresponding variables instead of editing
-    /// constraint rows, so every row keeps its meaning for the auditor.
+    /// constraint rows, so every row keeps its meaning.
     ///
     /// # Panics
     ///

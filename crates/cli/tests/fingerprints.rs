@@ -34,6 +34,12 @@
 //! only after an intentional change to how the engine schedules events,
 //! pools buffers or searches for plans, by pasting the `left` value each
 //! failing assertion prints.
+//!
+//! The telemetry plane only reads the run, so the zero-latency setting
+//! with telemetry on and an exposition file attached must still print the
+//! first pinned line.
+
+use std::path::Path;
 
 use proteus_cli::config::ExperimentConfig;
 use proteus_cli::{fingerprint, run_experiment};
@@ -48,6 +54,13 @@ const SETTINGS: [(&str, &str); 3] = [
         "crash@300:31; recover@600:31; slow@420-480:25x3.0; loadfail@0.1",
     ),
 ];
+
+/// The parsed `configs/fig4.conf`.
+fn fig4() -> ExperimentConfig {
+    include_str!("../../../configs/fig4.conf")
+        .parse()
+        .expect("configs/fig4.conf parses")
+}
 
 /// The kernel-counter line pinned for one run.
 fn kernel_counters(outcome: &RunOutcome) -> String {
@@ -73,9 +86,7 @@ fn kernel_counters(outcome: &RunOutcome) -> String {
 
 #[test]
 fn fig4_fingerprints_match_the_pinned_baseline() {
-    let base: ExperimentConfig = include_str!("../../../configs/fig4.conf")
-        .parse()
-        .expect("configs/fig4.conf parses");
+    let base = fig4();
     let pinned: Vec<&str> = include_str!("../../../baselines/fig4_fingerprints.txt")
         .lines()
         .collect();
@@ -106,4 +117,26 @@ fn fig4_fingerprints_match_the_pinned_baseline() {
             "kernel counters drifted for --solve-latency {latency} --faults {faults:?}"
         );
     }
+}
+
+#[test]
+fn telemetry_on_leaves_the_zero_latency_fingerprint_unchanged() {
+    let pinned = include_str!("../../../baselines/fig4_fingerprints.txt")
+        .lines()
+        .next()
+        .expect("a pinned zero-latency line");
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fig4_fingerprint_telemetry.prom");
+    let mut config = fig4();
+    config.telemetry_out = Some(path.to_string_lossy().into_owned());
+    let outcome = run_experiment(&config).outcome;
+    let pages = std::fs::read_to_string(&path).expect("the exposition file exists");
+    let _ = std::fs::remove_file(&path);
+    let telemetry = outcome.telemetry.as_ref().expect("telemetry ran");
+    assert!(telemetry.windows > 0 && !telemetry.io_error);
+    assert!(pages.starts_with("# page 1 "));
+    assert_eq!(
+        fingerprint(&outcome),
+        pinned,
+        "telemetry changed the zero-latency run"
+    );
 }
